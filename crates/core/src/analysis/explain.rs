@@ -2,25 +2,23 @@
 //!
 //! When the linter finds nothing wrong but the solver still reports UNSAT,
 //! the conflict spans constraint *families* rather than a single broken
-//! constraint. This module builds the one encoding every consumer shares
-//! ([`crate::ir`]: the encoders emit into a `ConstraintStore`, one
-//! lowering pass guards each family with a selector literal) and solves
-//! under the selectors as assumptions; the SAT core's failed assumptions
-//! then name exactly the families whose combination is contradictory.
+//! constraint. The placer guards each family with a selector literal
+//! ([`crate::ir`]) and solves under the selectors as assumptions; the SAT
+//! core's failed assumptions then name exactly the families whose
+//! combination is contradictory.
 //!
-//! A placement attempt that ends UNSAT gets the same attribution for free
-//! from its own first solve ([`crate::PlaceError::Infeasible`]); this
-//! standalone entry exists for `--explain`-style diagnosis without
-//! running the optimization loop.
+//! A placement attempt that ends UNSAT gets that attribution from its own
+//! first solve ([`crate::PlaceError::Infeasible`]); this entry runs the
+//! same feasibility solve alone, for `--explain`-style diagnosis without
+//! the optimization loop.
 
 use crate::config::PlacerConfig;
 use crate::encode;
-use crate::ir::{conflict_families, ConstraintFamily};
-use crate::power::PowerPlan;
+use crate::ir::ConstraintFamily;
+use crate::placer::Placer;
 use crate::scale::ScaleInfo;
-use crate::vars::VarMap;
 use ams_netlist::Design;
-use ams_smt::{Smt, SmtResult, Term};
+use ams_smt::SmtResult;
 
 /// Outcome of [`explain_unsat`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -34,19 +32,16 @@ pub enum UnsatOutcome {
     Conflict(Vec<ConstraintFamily>),
 }
 
-/// Encodes the design once through the shared IR path, lowers it with
-/// per-family selectors, and attributes an UNSAT verdict to the smallest
-/// family set the SAT core reports.
+/// Runs the placer's feasibility solve — pin-density windows refined
+/// lazily, exactly as [`Placer::place`] would — and attributes an UNSAT
+/// verdict to the families its failed selector assumptions blame.
 ///
+/// The lint gate, presolve shortcuts and the recovery ladder are off: the
+/// verdict is the solver's on the design as configured, on one thread.
 /// The wirelength family never constrains feasibility and is excluded
 /// from attribution. The first-solve conflict budget of `config.optimize`
 /// applies.
 pub fn explain_unsat(design: &Design, config: &PlacerConfig) -> UnsatOutcome {
-    let plan = if config.toggles.power_abutment {
-        PowerPlan::analyze(design)
-    } else {
-        PowerPlan::default()
-    };
     let scale = ScaleInfo::compute(design, config);
 
     // The region encoder panics on an empty Eq. 5 candidate set; that case
@@ -73,19 +68,16 @@ pub fn explain_unsat(design: &Design, config: &PlacerConfig) -> UnsatOutcome {
         }
     }
 
-    let mut smt = Smt::new();
-    let vars = VarMap::create(&mut smt, design, &scale, &plan, config, None);
-    let encoding = encode::encode_design(&mut smt, design, &scale, &plan, &vars, config);
-    let lowering = encoding.store.lower(&mut smt, 0);
-
-    smt.set_conflict_budget(config.optimize.first_conflict_budget);
-    let assumptions: Vec<Term> = lowering.selectors.iter().map(|&(_, s)| s).collect();
-    match smt.solve_with(&assumptions) {
+    let mut config = config.clone();
+    config.presolve.enabled = false;
+    config.recovery.enabled = false;
+    config.solver.threads = 1;
+    let Ok(mut placer) = Placer::unlinted(design, config) else {
+        return UnsatOutcome::Unknown;
+    };
+    match placer.feasibility_solve() {
         SmtResult::Sat => UnsatOutcome::Feasible,
         SmtResult::Unknown | SmtResult::Cancelled => UnsatOutcome::Unknown,
-        SmtResult::Unsat => UnsatOutcome::Conflict(conflict_families(
-            &lowering.selectors,
-            smt.failed_assumptions(),
-        )),
+        SmtResult::Unsat => UnsatOutcome::Conflict(placer.blamed_families()),
     }
 }

@@ -10,9 +10,9 @@
 //! late solver UNSATs and encode panics into early, actionable reports.
 //!
 //! When the linter is clean but the solver still answers UNSAT, the
-//! second stage ([`explain_unsat`]) solves the shared constraint IR
-//! encoding under per-family selector assumptions and names the
-//! conflicting constraint-family combination.
+//! second stage ([`explain_unsat`]) runs the placer's feasibility solve
+//! under per-family selector assumptions and names the conflicting
+//! constraint-family combination.
 
 mod capacity;
 mod configcheck;

@@ -9,7 +9,7 @@
 
 use super::PresolveConflict;
 use crate::config::PlacerConfig;
-use crate::encode::pin_density::{resolve_lambda, window_origins};
+use crate::encode::pin_density::resolve_check;
 use crate::encode::region::dimension_candidates;
 use crate::ir::{ConstraintFamily, Provenance};
 use crate::power::PowerPlan;
@@ -96,12 +96,12 @@ fn check_die_area(design: &Design, scale: &ScaleInfo) -> Result<(), PresolveConf
 
 /// Window-counting proofs (Eq. 13–14). Both need *coverage* — stride no
 /// larger than the (die-clamped) window, so every cell overlaps at least
-/// one check window; [`window_origins`] always includes the final origin.
+/// one check window; the window walk always includes the final origin.
 ///
 /// * Per cell: a cell contributes every pin to each window it overlaps, so
 ///   `|P(v)| > λ_th` dooms whichever window ends up over it.
-/// * Globally: summing the per-window bound over all windows gives
-///   `Σ |P(v)| ≤ λ_th · #windows` — total pins beyond that cannot fit.
+/// * Globally: summing the per-window bounds over all windows gives
+///   `Σ |P(v)| ≤ Σ_w λ_w` — total pins beyond that cannot fit.
 fn check_pin_density(
     design: &Design,
     config: &PlacerConfig,
@@ -110,14 +110,13 @@ fn check_pin_density(
     let Some(pd) = &config.pin_density else {
         return Ok(());
     };
-    let beta_x = pd.beta_x.min(scale.scaled_w);
-    let beta_y = pd.beta_y.min(scale.scaled_h);
-    if pd.stride_x > beta_x || pd.stride_y > beta_y {
+    let check = resolve_check(design, scale, pd);
+    let (beta_x, beta_y, lambda) = (check.beta_x, check.beta_y, check.lambda);
+    if check.stride_x > beta_x || check.stride_y > beta_y {
         // Striding past the window leaves uncovered gaps: a cell could sit
         // between windows, so neither counting argument applies.
         return Ok(());
     }
-    let lambda = resolve_lambda(design, scale, pd);
     for c in design.cell_ids() {
         let pins = design.cell(c).pin_count() as u64;
         if pins > lambda {
@@ -131,16 +130,19 @@ fn check_pin_density(
             ));
         }
     }
-    let windows = window_origins(scale.scaled_w, beta_x, pd.stride_x).len() as u64
-        * window_origins(scale.scaled_h, beta_y, pd.stride_y).len() as u64;
+    let (windows, capacity) = check
+        .windows(scale.scaled_w, scale.scaled_h)
+        .fold((0u64, 0u64), |(n, cap), (_, bound)| {
+            (n + 1, cap.saturating_add(bound))
+        });
     let total: u64 = design.cells().iter().map(|c| c.pin_count() as u64).sum();
-    if total > lambda.saturating_mul(windows) {
+    if total > capacity {
         return Err(PresolveConflict::capacity(
             ConstraintFamily::PinDensity,
             Provenance::Design,
             format!(
-                "{total} pins exceed the aggregate window capacity λ_th · #windows = \
-                 {lambda} · {windows}"
+                "{total} pins exceed the aggregate window capacity Σ λ_w = {capacity} \
+                 over {windows} windows"
             ),
         ));
     }

@@ -28,8 +28,9 @@ use std::time::Duration;
 /// (request `idempotency_key`, the `interrupted` job status and error
 /// kind, `degraded` in the service health documents); 3 = routing
 /// closure (the constant-shape `closure` object in the stats document,
-/// `close`/`close_iters` job options).
-pub const SCHEMA_VERSION: u64 = 3;
+/// `close`/`close_iters` job options); 4 = lazy pin-density windows (the
+/// constant-shape `windows` object in the stats document).
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Lifecycle state of a placement job.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -745,6 +746,23 @@ pub fn stats_to_json(design: &Design, placement: &Placement) -> Json {
         ("presolve", presolve_to_json(s.presolve.as_ref())),
         ("warm", warm),
         ("closure", closure_to_json(s.closure.as_ref())),
+        (
+            "windows",
+            Json::obj([
+                ("instantiated", Json::uint(s.windows.instantiated as u64)),
+                ("total", Json::uint(s.windows.total as u64)),
+                (
+                    "refinements",
+                    Json::Arr(
+                        s.windows
+                            .refinements
+                            .iter()
+                            .map(|&n| Json::uint(n as u64))
+                            .collect(),
+                    ),
+                ),
+            ]),
+        ),
     ])
 }
 

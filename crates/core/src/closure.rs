@@ -21,7 +21,6 @@
 //! bind a scripted fake to exercise the loop logic alone.
 
 use crate::config::PlacerConfig;
-use crate::encode::pin_density::window_origins;
 use crate::placement::Placement;
 use crate::placer::{PlaceError, Placer};
 use ams_netlist::Design;
@@ -117,13 +116,14 @@ pub struct ProbeWindows {
 
 /// The pin-density check windows of a placement, in router coordinates.
 ///
-/// Reconstructs exactly the window set the encoder enumerated: the die is
+/// Reconstructs exactly the window set the encoder enumerates: the die is
 /// `scaled_w·unit_w × scaled_h·unit_h` by construction, so dividing by the
-/// units recovers the scaled extents, and the same stride-stepped
-/// `window_origins` walk yields the same origins the constraints carry.
-/// Empty when the placement was produced without pin-density constraints.
+/// units recovers the scaled extents, and the one window walk
+/// ([`crate::PinDensityCheck::windows`]) yields the origins the
+/// constraints carry. Empty when the placement was produced without
+/// pin-density constraints.
 pub fn probe_windows(placement: &Placement) -> ProbeWindows {
-    let Some(pd) = placement.pin_density else {
+    let Some(pd) = &placement.pin_density else {
         return ProbeWindows::default();
     };
     let (uw, uh) = placement.units;
@@ -137,19 +137,15 @@ pub fn probe_windows(placement: &Placement) -> ProbeWindows {
     if beta_x == 0 || beta_y == 0 {
         return ProbeWindows::default();
     }
-    let xs = window_origins(scaled_w, beta_x, pd.stride_x);
-    let ys = window_origins(scaled_h, beta_y, pd.stride_y);
     let mut out = ProbeWindows::default();
-    for &ym in &ys {
-        for &xm in &xs {
-            out.origins.push((xm, ym));
-            out.rects.push(WindowRect {
-                x: xm * uw,
-                y: ym * uh,
-                w: beta_x * uw,
-                h: beta_y * uh,
-            });
-        }
+    for ((xm, ym), _) in pd.windows(scaled_w, scaled_h) {
+        out.origins.push((xm, ym));
+        out.rects.push(WindowRect {
+            x: xm * uw,
+            y: ym * uh,
+            w: beta_x * uw,
+            h: beta_y * uh,
+        });
     }
     out
 }
@@ -241,13 +237,10 @@ where
 
         // Tighten exactly the provenance-identified hot windows.
         let mut tightened = false;
-        if let (Some(pd_check), Some(pd)) = (placement.pin_density, config.pin_density.as_mut()) {
+        if let (Some(pd_check), Some(pd)) = (&placement.pin_density, config.pin_density.as_mut()) {
             for &i in &hot {
                 let (sx, sy) = probe.origins[i];
-                let current = pd
-                    .override_for(sx, sy)
-                    .unwrap_or(pd_check.lambda)
-                    .min(pd_check.lambda);
+                let current = pd_check.bound(sx, sy);
                 if current <= opts.min_lambda {
                     continue;
                 }

@@ -19,16 +19,15 @@ use crate::vars::VarMap;
 use ams_netlist::Design;
 use ams_smt::{Smt, Term};
 
-/// The complete constraint formulation of one design under one
-/// configuration (Section IV.C, a–g), emitted into a fresh
-/// [`ConstraintStore`] — the single encode path shared by the placer and
-/// the UNSAT explainer. Terms are built in `smt`'s pool; nothing is
-/// asserted until the store is lowered.
+/// The constraint formulation of one design under one configuration
+/// (Section IV.C, a–g), emitted into a fresh [`ConstraintStore`] — the
+/// single encode path of the placer. Terms are built in `smt`'s pool;
+/// nothing is asserted until the store is lowered. Pin-density windows
+/// are not emitted here: the placer instantiates them lazily
+/// ([`pin_density::emit_window`]).
 pub(crate) struct Encoding {
     /// The emitted constraint records.
     pub store: ConstraintStore,
-    /// Effective pin-density parameters, when that family is configured.
-    pub pd_info: Option<pin_density::PinDensityInfo>,
     /// The weighted-wirelength expression Φ.
     pub phi: Term,
     /// Bit width of Φ.
@@ -36,8 +35,8 @@ pub(crate) struct Encoding {
 }
 
 /// Runs every encoder over the design. The emission order is fixed —
-/// core geometry, symmetry, arrays, power abutment, pin density,
-/// wirelength — matching [`crate::ir::ConstraintFamily::ALL`].
+/// core geometry, symmetry, arrays, power abutment, wirelength — matching
+/// [`crate::ir::ConstraintFamily::ALL`].
 pub(crate) fn encode_design(
     smt: &mut Smt,
     design: &Design,
@@ -60,17 +59,8 @@ pub(crate) fn encode_design(
     if config.toggles.power_abutment {
         power_abut::assert_power_abutment(smt, &mut store, design, scale, vars, plan);
     }
-    let pd_info = config
-        .pin_density
-        .as_ref()
-        .map(|pd| pin_density::assert_pin_density(smt, &mut store, design, scale, vars, pd));
     let (phi, phi_w) = wirelength::assert_wirelength(smt, &mut store, design, scale, vars, config);
-    Encoding {
-        store,
-        pd_info,
-        phi,
-        phi_w,
-    }
+    Encoding { store, phi, phi_w }
 }
 
 /// `zext(t, w+1) + c` — a coordinate plus a constant offset, computed one

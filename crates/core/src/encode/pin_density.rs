@@ -6,26 +6,19 @@
 //! per window. Because the indicators are one-directional (`overlap → b`),
 //! over-approximation is conservative: every model satisfies the true
 //! density bound.
+//!
+//! Windows are encoded lazily: the placer starts with none and emits a
+//! window ([`emit_window`]) only once a model overloads it, as judged by
+//! the exact window oracle ([`crate::PinDensityCheck`]). [`WindowSet`]
+//! tracks which windows are live.
 
 use crate::config::PinDensityConfig;
-use crate::ir::{ConstraintFamily, ConstraintStore, Provenance};
+use crate::ir::{ConstraintStore, Provenance};
+use crate::placement::PinDensityCheck;
 use crate::scale::ScaleInfo;
 use crate::vars::VarMap;
 use ams_netlist::Design;
 use ams_smt::{Smt, Term};
-
-/// Effective pin-density parameters after threshold resolution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PinDensityInfo {
-    /// Scaled window width `β_x`.
-    pub beta_x: u32,
-    /// Scaled window height `β_y`.
-    pub beta_y: u32,
-    /// Resolved pin-count threshold `λ_th`.
-    pub lambda: u64,
-    /// Number of windows encoded.
-    pub windows: usize,
-}
 
 /// Resolves `λ_th`: the configured value, or `auto_margin` times the
 /// densest window of a *reference packing* — a tight greedy row layout of
@@ -106,81 +99,129 @@ fn reference_window_load(design: &Design, scale: &ScaleInfo, beta_x: u32, beta_y
     worst
 }
 
-/// Encodes all windows; returns the effective parameters.
-pub(crate) fn assert_pin_density(
+/// The check the encoding enforces: `λ_th`, the die-clamped window, the
+/// strides and the per-window overrides.
+pub(crate) fn resolve_check(
+    design: &Design,
+    scale: &ScaleInfo,
+    cfg: &PinDensityConfig,
+) -> PinDensityCheck {
+    PinDensityCheck {
+        beta_x: cfg.beta_x.min(scale.scaled_w),
+        beta_y: cfg.beta_y.min(scale.scaled_h),
+        lambda: resolve_lambda(design, scale, cfg),
+        stride_x: cfg.stride_x,
+        stride_y: cfg.stride_y,
+        lambda_overrides: cfg.lambda_overrides.clone(),
+    }
+}
+
+/// The pin-density family of one placer: every check window with its
+/// bound, and which of them are encoded in the live solver.
+#[derive(Clone, Debug)]
+pub(crate) struct WindowSet {
+    /// The check every returned model is held to.
+    pub check: PinDensityCheck,
+    /// Every window as `(origin, bound)`, row by row — the family's
+    /// content, which a warm rebase compares.
+    pub windows: Vec<((u32, u32), u64)>,
+    /// Per window: whether its records are in the live store.
+    pub live: Vec<bool>,
+}
+
+impl WindowSet {
+    /// All windows of `check` over the scaled die, none live yet.
+    pub fn new(check: PinDensityCheck, scale: &ScaleInfo) -> WindowSet {
+        let windows: Vec<_> = check.windows(scale.scaled_w, scale.scaled_h).collect();
+        let live = vec![false; windows.len()];
+        WindowSet {
+            check,
+            windows,
+            live,
+        }
+    }
+
+    /// Whether two sets encode the same constraints: same window shape,
+    /// same origins, same bounds.
+    pub fn same_content(&self, other: &WindowSet) -> bool {
+        (self.check.beta_x, self.check.beta_y) == (other.check.beta_x, other.check.beta_y)
+            && self.windows == other.windows
+    }
+
+    /// Index of the window at scaled origin `(x, y)`.
+    pub fn index_of(&self, (x, y): (u32, u32)) -> Option<usize> {
+        // Row-major order sorts the windows by (y, x).
+        self.windows
+            .binary_search_by_key(&(y, x), |&((wx, wy), _)| (wy, wx))
+            .ok()
+    }
+
+    /// Windows whose bound is below the heaviest cell's pin count. Such
+    /// a window bans that cell from its whole area; refinement would learn
+    /// the ban one overloading model at a time, so these are instantiated
+    /// when the family opens. Under a λ_th calibrated above every cell
+    /// (the default) there are none.
+    pub fn seeds<'s>(&'s self, design: &Design) -> impl Iterator<Item = usize> + 's {
+        let heaviest = design
+            .cells()
+            .iter()
+            .map(|c| c.pin_count() as u64)
+            .max()
+            .unwrap_or(0);
+        (0..self.windows.len()).filter(move |&i| self.windows[i].1 < heaviest)
+    }
+
+    /// Number of live windows.
+    pub fn instantiated(&self) -> usize {
+        self.live.iter().filter(|&&l| l).count()
+    }
+}
+
+/// Emits the window at scaled origin `(xm, ym)` with at-most `bound` into
+/// the store's open pin-density context: one overlap indicator per pinful
+/// cell and the Eq. 14 bound over them. A window no placement can
+/// overload emits nothing.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn emit_window(
     smt: &mut Smt,
     store: &mut ConstraintStore,
     design: &Design,
     scale: &ScaleInfo,
     vars: &VarMap,
-    cfg: &PinDensityConfig,
-) -> PinDensityInfo {
-    store.family(ConstraintFamily::PinDensity);
-    let lambda = resolve_lambda(design, scale, cfg);
-    let beta_x = cfg.beta_x.min(scale.scaled_w);
-    let beta_y = cfg.beta_y.min(scale.scaled_h);
-
-    // Window origins: stride-stepped, always including the last position.
-    let xs = window_origins(scale.scaled_w, beta_x, cfg.stride_x);
-    let ys = window_origins(scale.scaled_h, beta_y, cfg.stride_y);
-
-    let pinful: Vec<_> = design
-        .cell_ids()
-        .filter(|&c| design.cell(c).pin_count() > 0)
-        .collect();
-
-    let mut windows = 0usize;
-    for &ym in &ys {
-        for &xm in &xs {
-            store.at(Provenance::Window { x: xm, y: ym });
-            let mut items: Vec<(Term, u64)> = Vec::with_capacity(pinful.len());
-            for &c in &pinful {
-                let pins = design.cell(c).pin_count() as u64;
-                let overlap = overlap_condition(smt, scale, vars, c, (xm, ym), (beta_x, beta_y));
-                match overlap {
-                    Overlap::Never => {}
-                    Overlap::Always => {
-                        // Contributes unconditionally; encode with a true
-                        // indicator (constant weight).
-                        let t = smt.tru();
-                        items.push((t, pins));
-                    }
-                    Overlap::Cond(cond) => {
-                        let b = smt.bool_var(format!("b_c{}_w{}x{}", c.index(), xm, ym));
-                        let imp = smt.implies(cond, b);
-                        store.assert(imp);
-                        items.push((b, pins));
-                    }
-                }
+    check: &PinDensityCheck,
+    (xm, ym): (u32, u32),
+    bound: u64,
+) {
+    let beta = (check.beta_x, check.beta_y);
+    let mut overlaps = Vec::new();
+    for c in design.cell_ids() {
+        let pins = design.cell(c).pin_count() as u64;
+        if pins > 0 {
+            match overlap_condition(smt, scale, vars, c, (xm, ym), beta) {
+                Overlap::Never => {}
+                overlap => overlaps.push((c, overlap, pins)),
             }
-            let worst: u64 = items.iter().map(|&(_, w)| w).sum();
-            // A routing-closure override tightens this one window below the
-            // global threshold; clamping to `lambda` keeps the per-window
-            // bound sound w.r.t. the global legality check.
-            let bound = cfg.override_for(xm, ym).map_or(lambda, |l| l.min(lambda));
-            if worst > bound {
-                store.assert_at_most(items, bound);
-            }
-            windows += 1;
         }
     }
-    PinDensityInfo {
-        beta_x,
-        beta_y,
-        lambda,
-        windows,
+    if overlaps.iter().map(|&(_, _, pins)| pins).sum::<u64>() <= bound {
+        return;
     }
-}
-
-/// Window origins covering `0..=extent-beta` at the given stride, with the
-/// final origin always included.
-pub(crate) fn window_origins(extent: u32, beta: u32, stride: u32) -> Vec<u32> {
-    let last = extent.saturating_sub(beta);
-    let mut out: Vec<u32> = (0..=last).step_by(stride.max(1) as usize).collect();
-    if *out.last().expect("at least origin 0") != last {
-        out.push(last);
+    store.at(Provenance::Window { x: xm, y: ym });
+    let mut items: Vec<(Term, u64)> = Vec::with_capacity(overlaps.len());
+    for (c, overlap, pins) in overlaps {
+        let indicator = match overlap {
+            // Contributes unconditionally (`Never` was dropped above).
+            Overlap::Always | Overlap::Never => smt.tru(),
+            Overlap::Cond(cond) => {
+                let b = smt.bool_var(format!("b_c{}_w{}x{}", c.index(), xm, ym));
+                let imp = smt.implies(cond, b);
+                store.assert(imp);
+                b
+            }
+        };
+        items.push((indicator, pins));
     }
-    out
+    store.assert_at_most(items, bound);
 }
 
 enum Overlap {
@@ -236,17 +277,5 @@ fn overlap_condition(
         Some(0) => Overlap::Never,
         Some(_) => Overlap::Always,
         None => Overlap::Cond(cond),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn origins_cover_final_window() {
-        assert_eq!(window_origins(10, 4, 2), vec![0, 2, 4, 6]);
-        assert_eq!(window_origins(11, 4, 2), vec![0, 2, 4, 6, 7]);
-        assert_eq!(window_origins(4, 4, 3), vec![0]);
     }
 }

@@ -181,6 +181,9 @@ pub(crate) struct ConstraintStore {
     constraints: Vec<Constraint>,
     family: Option<ConstraintFamily>,
     provenance: Provenance,
+    /// Families whose records arrive lazily under a selector that is live
+    /// before the first record (the pin-density windows).
+    lazy: Vec<ConstraintFamily>,
 }
 
 impl ConstraintStore {
@@ -228,6 +231,20 @@ impl ConstraintStore {
         });
     }
 
+    /// Marks `family` as lazily refined (or not): its live selector may
+    /// precede its first record.
+    pub fn set_lazy(&mut self, family: ConstraintFamily, lazy: bool) {
+        self.lazy.retain(|&f| f != family);
+        if lazy {
+            self.lazy.push(family);
+        }
+    }
+
+    /// Whether `family` is lazily refined.
+    pub fn is_lazy(&self, family: ConstraintFamily) -> bool {
+        self.lazy.contains(&family)
+    }
+
     /// Number of records in the store.
     pub fn len(&self) -> usize {
         self.constraints.len()
@@ -270,23 +287,12 @@ impl ConstraintStore {
                 continue;
             }
             let sel = smt.bool_var(format!("sel_{}_g{generation}", family.name()));
-            smt.set_guard(Some(sel));
-            let before = smt.num_sat_clauses();
-            let mut constraints = 0usize;
-            for c in records() {
-                constraints += 1;
-                match &c.payload {
-                    Payload::Term(t) => smt.assert(*t),
-                    Payload::AtMost { items, bound } => smt.assert_at_most(items, *bound),
-                }
-            }
-            smt.flush();
-            smt.set_guard(None);
+            let (constraints, clauses) = install(smt, sel, records());
             selectors.push((family, sel));
             families.push(FamilyStats {
                 family,
                 constraints,
-                clauses: smt.num_sat_clauses() - before,
+                clauses,
             });
         }
         Lowering {
@@ -294,6 +300,15 @@ impl ConstraintStore {
             families,
             elapsed: t0.elapsed(),
         }
+    }
+
+    /// Lowers the records from index `start` on under `sel`, a selector
+    /// that is already live — how lazily instantiated pin-density windows
+    /// join their family's current generation. Returns the records and
+    /// clauses added.
+    pub fn lower_under(&self, smt: &mut Smt, sel: Term, start: usize) -> (usize, usize) {
+        smt.flush();
+        install(smt, sel, self.constraints[start..].iter())
     }
 
     /// Compares this store against `other` family by family and returns
@@ -349,6 +364,28 @@ impl ConstraintStore {
             })
             .collect()
     }
+}
+
+/// Installs `records` guarded by `sel` and bit-blasts them ([`Smt::flush`])
+/// so the clause delta can be measured; returns `(records, clauses)`.
+fn install<'c>(
+    smt: &mut Smt,
+    sel: Term,
+    records: impl Iterator<Item = &'c Constraint>,
+) -> (usize, usize) {
+    smt.set_guard(Some(sel));
+    let before = smt.num_sat_clauses();
+    let mut constraints = 0usize;
+    for c in records {
+        constraints += 1;
+        match &c.payload {
+            Payload::Term(t) => smt.assert(*t),
+            Payload::AtMost { items, bound } => smt.assert_at_most(items, *bound),
+        }
+    }
+    smt.flush();
+    smt.set_guard(None);
+    (constraints, smt.num_sat_clauses() - before)
 }
 
 /// Maps the failed assumptions of an UNSAT solve back to constraint

@@ -74,7 +74,7 @@ pub use ir::{ConstraintFamily, FamilyStats, Provenance};
 pub use placement::{
     placement_from_rects, CertifyReport, DegradeReason, PinDensityCheck, PlaceOutcome, PlaceStats,
     Placement, PresolvePassStats, PresolveStats, Relaxation, RungStats, Violation, ViolationKind,
-    WarmStats,
+    WarmStats, WindowStats,
 };
 pub use placer::{PlaceError, Placer, PlacerBuilder, WarmReuse};
 // Re-exported so downstream consumers can validate infeasibility

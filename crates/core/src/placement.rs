@@ -222,6 +222,23 @@ pub struct PlaceStats {
     /// place → route → tighten loop ([`crate::closure`]); `None` for
     /// plain placements.
     pub closure: Option<crate::closure::ClosureStats>,
+    /// Lazy pin-density refinement: windows instantiated and re-solves.
+    pub windows: WindowStats,
+}
+
+/// How far lazy pin-density refinement went, carried in
+/// [`PlaceStats::windows`]. The placer encodes a check window only once a
+/// model overloads it; every model it returns passes all windows.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct WindowStats {
+    /// Check windows encoded in the live solver when the run ended.
+    pub instantiated: usize,
+    /// Check windows of the whole die (0 without pin density).
+    pub total: usize,
+    /// Refinement re-solves of each solve of the Algorithm 1 loop, in
+    /// order: the feasibility solve, then every ζ round (an unfrozen retry
+    /// counts as a round of its own).
+    pub refinements: Vec<usize>,
 }
 
 /// How a warm re-solve ([`crate::Placer::rebase`]) reused the live solver,
@@ -282,7 +299,7 @@ pub struct CertifyReport {
 }
 
 /// Pin-density parameters a placement was checked against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PinDensityCheck {
     /// Window width in scaled units.
     pub beta_x: u32,
@@ -294,6 +311,102 @@ pub struct PinDensityCheck {
     pub stride_x: u32,
     /// Vertical window stride.
     pub stride_y: u32,
+    /// Per-window thresholds below `lambda`, keyed by scaled window origin
+    /// and sorted by key ([`crate::PinDensityConfig::lambda_overrides`]).
+    pub lambda_overrides: Vec<((u32, u32), u64)>,
+}
+
+/// One check window whose pin load exceeds its bound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct OverloadedWindow {
+    /// Scaled window origin.
+    pub origin: (u32, u32),
+    /// Pins of the cells overlapping the window.
+    pub pins: u64,
+    /// The window's at-most bound.
+    pub bound: u64,
+}
+
+impl PinDensityCheck {
+    /// The bound of the window at scaled origin `(x, y)`: its override,
+    /// clamped to the global `lambda`, or `lambda` itself.
+    pub(crate) fn bound(&self, x: u32, y: u32) -> u64 {
+        self.lambda_overrides
+            .binary_search_by_key(&(x, y), |&(k, _)| k)
+            .map_or(self.lambda, |i| self.lambda_overrides[i].1.min(self.lambda))
+    }
+
+    /// Every check window over a `scaled_w × scaled_h` die, row by row, as
+    /// `(origin, bound)`. Origins step by the stride and always include
+    /// the last position, so the windows cover the die. This is the one
+    /// window enumeration: the encoder, [`Placement::verify`], the closure
+    /// probe and presolve all walk it.
+    pub fn windows(
+        &self,
+        scaled_w: u32,
+        scaled_h: u32,
+    ) -> impl Iterator<Item = ((u32, u32), u64)> + '_ {
+        let xs = window_origins(scaled_w, self.beta_x, self.stride_x);
+        let ys = window_origins(scaled_h, self.beta_y, self.stride_y);
+        ys.into_iter().flat_map(move |y| {
+            xs.clone()
+                .into_iter()
+                .map(move |x| ((x, y), self.bound(x, y)))
+        })
+    }
+
+    /// The exact window oracle: every window whose pin load exceeds its
+    /// bound, for cells placed at `cells` (grid units, indexed by cell id)
+    /// on a `die` aligned to `units`. A cell loads a window when the two
+    /// rectangles overlap — exactly the overlap the encoder's indicators
+    /// capture, since cell sizes are whole multiples of the units.
+    pub(crate) fn overloaded(
+        &self,
+        design: &Design,
+        cells: &[Rect],
+        (uw, uh): (u32, u32),
+        die: Rect,
+    ) -> Vec<OverloadedWindow> {
+        if uw == 0 || uh == 0 {
+            return Vec::new();
+        }
+        let (scaled_w, scaled_h) = (die.w / uw, die.h / uh);
+        let (bw, bh) = (
+            self.beta_x.min(scaled_w) * uw,
+            self.beta_y.min(scaled_h) * uh,
+        );
+        let pinful: Vec<(Rect, u64)> = design
+            .cell_ids()
+            .map(|c| (cells[c.index()], design.cell(c).pin_count() as u64))
+            .filter(|&(_, pins)| pins > 0)
+            .collect();
+        self.windows(scaled_w, scaled_h)
+            .filter_map(|((x, y), bound)| {
+                let win = Rect::new(x * uw, y * uh, bw, bh);
+                let pins: u64 = pinful
+                    .iter()
+                    .filter(|(r, _)| r.overlaps(win))
+                    .map(|&(_, p)| p)
+                    .sum();
+                (pins > bound).then_some(OverloadedWindow {
+                    origin: (x, y),
+                    pins,
+                    bound,
+                })
+            })
+            .collect()
+    }
+}
+
+/// Window origins covering `0..=extent-beta` at the given stride, with the
+/// final origin always included.
+fn window_origins(extent: u32, beta: u32, stride: u32) -> Vec<u32> {
+    let last = extent.saturating_sub(beta);
+    let mut out: Vec<u32> = (0..=last).step_by(stride.max(1) as usize).collect();
+    if *out.last().expect("at least origin 0") != last {
+        out.push(last);
+    }
+    out
 }
 
 /// A completed placement in unscaled grid units.
@@ -378,8 +491,11 @@ impl Placement {
 
     /// Checks every hard constraint of the design against this placement.
     ///
-    /// This is an independent oracle: it shares no code with the SMT
-    /// encoders and re-derives every geometric requirement from the design.
+    /// This is an independent oracle: it re-derives every geometric
+    /// requirement from the design. The only thing it shares with the SMT
+    /// encoders is the pin-density window enumeration
+    /// ([`PinDensityCheck::windows`]), so it checks exactly the windows
+    /// and bounds the encoding enforces.
     ///
     /// # Errors
     ///
@@ -679,35 +795,21 @@ impl Placement {
     }
 
     fn check_pin_density(&self, design: &Design, out: &mut Vec<Violation>) {
-        let Some(pd) = self.pin_density else {
+        let Some(pd) = &self.pin_density else {
             return;
         };
         let (uw, uh) = self.units;
-        let bw = pd.beta_x * uw;
-        let bh = pd.beta_y * uh;
-        if self.die.w < bw || self.die.h < bh {
-            return;
-        }
-        // Scan at the stride the encoding enforced; a coarser stride is an
-        // explicit approximation knob (stride 1 reproduces the paper's |M|).
-        for wy in (0..=self.die.h - bh).step_by((uh * pd.stride_y) as usize) {
-            for wx in (0..=self.die.w - bw).step_by((uw * pd.stride_x) as usize) {
-                let win = Rect::new(wx, wy, bw, bh);
-                let pins: u64 = design
-                    .cell_ids()
-                    .filter(|&c| self.cells[c.index()].overlaps(win))
-                    .map(|c| design.cell(c).pin_count() as u64)
-                    .sum();
-                if pins > pd.lambda {
-                    out.push(Violation {
-                        kind: ViolationKind::PinDensity,
-                        detail: format!(
-                            "window at ({wx}, {wy}) holds {pins} pins > λ = {}",
-                            pd.lambda
-                        ),
-                    });
-                }
-            }
+        for w in pd.overloaded(design, &self.cells, self.units, self.die) {
+            out.push(Violation {
+                kind: ViolationKind::PinDensity,
+                detail: format!(
+                    "window at ({}, {}) holds {} pins > λ = {}",
+                    w.origin.0 * uw,
+                    w.origin.1 * uh,
+                    w.pins,
+                    w.bound
+                ),
+            });
         }
     }
 }
@@ -736,5 +838,34 @@ pub fn placement_from_rects(
         units: (scale.unit_w, scale.unit_h),
         pin_density: None,
         stats: PlaceStats::default(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn origins_cover_final_window() {
+        assert_eq!(window_origins(10, 4, 2), vec![0, 2, 4, 6]);
+        assert_eq!(window_origins(11, 4, 2), vec![0, 2, 4, 6, 7]);
+        assert_eq!(window_origins(4, 4, 3), vec![0]);
+    }
+
+    #[test]
+    fn window_bounds_clamp_overrides_to_lambda() {
+        let check = PinDensityCheck {
+            beta_x: 4,
+            beta_y: 2,
+            lambda: 10,
+            stride_x: 2,
+            stride_y: 1,
+            lambda_overrides: vec![((2, 0), 3), ((7, 1), 40)],
+        };
+        let windows: Vec<_> = check.windows(11, 3).collect();
+        assert_eq!(windows.len(), 5 * 2);
+        assert_eq!(windows[1], ((2, 0), 3));
+        assert_eq!(windows[4], ((7, 0), 10));
+        assert_eq!(windows[9], ((7, 1), 10), "an override never raises λ");
     }
 }

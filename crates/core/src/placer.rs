@@ -4,10 +4,11 @@
 use crate::analysis::presolve::{self, PresolveConflict, PresolveVerdict};
 use crate::config::{PinDensityConfig, PlacerConfig, SolverOverrides};
 use crate::encode;
+use crate::encode::pin_density::WindowSet;
 use crate::ir::{conflict_families, ConstraintFamily, ConstraintStore, FamilyStats};
 use crate::placement::{
     CertifyReport, DegradeReason, PinDensityCheck, PlaceOutcome, PlaceStats, Placement,
-    PresolveStats, Relaxation, RungStats, WarmStats,
+    PresolveStats, Relaxation, RungStats, WarmStats, WindowStats,
 };
 use crate::power::PowerPlan;
 use crate::scale::ScaleInfo;
@@ -291,7 +292,12 @@ pub struct Placer<'a> {
     rungs: Vec<RungStats>,
     phi: Term,
     phi_w: u32,
-    pd_check: Option<PinDensityCheck>,
+    /// The pin-density windows and which of them are encoded; `None`
+    /// without pin density. Windows are instantiated lazily, under the
+    /// family's live selector, once a model overloads them.
+    pd: Option<WindowSet>,
+    /// Refinement re-solves of each solve of the current job.
+    refinements: Vec<usize>,
     /// Selectors retired by recovery re-lowerings, kept for the lowering
     /// well-formedness validator ([`Placer::validate_lowering`]).
     retired: Vec<Term>,
@@ -365,8 +371,13 @@ pub enum WarmReuse {
 
 /// Encodes a design under a configuration into a fresh solver: the shared
 /// front half of [`Placer::new`] and the scratch encoding of
-/// [`Placer::rebase`].
-fn encode_fresh(design: &Design, config: &PlacerConfig) -> Result<EncodedDesign, PlaceError> {
+/// [`Placer::rebase`]. `lint_gate` off skips the pre-solve lint, for the
+/// UNSAT explainer, which wants the solver's verdict on any design.
+fn encode_fresh(
+    design: &Design,
+    config: &PlacerConfig,
+    lint_gate: bool,
+) -> Result<EncodedDesign, PlaceError> {
     // Phase 0: pre-solve constraint lint. Every error-severity finding
     // is a proof of unsatisfiability (or a broken reference that would
     // panic the encoders), so encoding would be wasted work. Two
@@ -376,7 +387,11 @@ fn encode_fresh(design: &Design, config: &PlacerConfig) -> Result<EncodedDesign,
     // DRAT certificate — rather than the linter's uncheckable verdict.
     // Presolve counts too: its capacity pass turns the same condition
     // into a provenance-cited Infeasible without a CDCL run.
-    let report = crate::analysis::lint(design, config);
+    let report = if lint_gate {
+        crate::analysis::lint(design, config)
+    } else {
+        LintReport::default()
+    };
     if report.has_errors() {
         let solvable = config.recovery.enabled || config.solver.certify || config.presolve.enabled;
         let recoverable = solvable
@@ -448,16 +463,10 @@ fn encode_fresh(design: &Design, config: &PlacerConfig) -> Result<EncodedDesign,
     // Constraint formulation (Section IV.C, a–g): the encoders emit
     // typed records into the one constraint store.
     let encoding = encode::encode_design(&mut smt, design, &scale, &plan, &vars, config);
-    let pd_check = encoding.pd_info.map(|info| {
-        let pd = config.pin_density.as_ref().expect("pd_info implies config");
-        PinDensityCheck {
-            beta_x: info.beta_x,
-            beta_y: info.beta_y,
-            lambda: info.lambda,
-            stride_x: pd.stride_x,
-            stride_y: pd.stride_y,
-        }
-    });
+    let pd_check = config
+        .pin_density
+        .as_ref()
+        .map(|pd| encode::pin_density::resolve_check(design, &scale, pd));
     Ok(EncodedDesign {
         scale,
         plan,
@@ -494,6 +503,23 @@ impl<'a> Placer<'a> {
     /// [`PlaceError::Lint`] when the pre-solve linter proves the instance
     /// broken or unsatisfiable (see [`crate::analysis::lint`]).
     pub fn new(design: &'a Design, config: PlacerConfig) -> Result<Placer<'a>, PlaceError> {
+        Placer::build(design, config, true)
+    }
+
+    /// [`Placer::new`] without the pre-solve lint gate, for the UNSAT
+    /// explainer ([`crate::analysis::explain_unsat`]).
+    pub(crate) fn unlinted(
+        design: &'a Design,
+        config: PlacerConfig,
+    ) -> Result<Placer<'a>, PlaceError> {
+        Placer::build(design, config, false)
+    }
+
+    fn build(
+        design: &'a Design,
+        config: PlacerConfig,
+        lint_gate: bool,
+    ) -> Result<Placer<'a>, PlaceError> {
         config.validate().map_err(PlaceError::Config)?;
         let EncodedDesign {
             scale,
@@ -507,7 +533,7 @@ impl<'a> Placer<'a> {
             mut presolve_stats,
             domain_conflict,
             pruned,
-        } = encode_fresh(design, &config)?;
+        } = encode_fresh(design, &config, lint_gate)?;
 
         // A single lowering pass installs the emitted records with
         // per-family guard selectors.
@@ -540,7 +566,7 @@ impl<'a> Placer<'a> {
             }));
         }
 
-        let placer = Placer {
+        let mut placer = Placer {
             design,
             config,
             scale,
@@ -555,7 +581,8 @@ impl<'a> Placer<'a> {
             rungs: Vec::new(),
             phi,
             phi_w,
-            pd_check,
+            pd: None,
+            refinements: Vec::new(),
             retired: Vec::new(),
             presolve: presolve_stats,
             presolve_domain_conflict: domain_conflict,
@@ -565,6 +592,7 @@ impl<'a> Placer<'a> {
             conflicts_base: 0,
             warm_pending: None,
         };
+        placer.open_pin_density(pd_check, &[]);
         debug_assert_eq!(placer.validate_lowering(), Ok(()));
         Ok(placer)
     }
@@ -618,13 +646,34 @@ impl<'a> Placer<'a> {
             return Ok(WarmReuse::Structural);
         }
 
-        let scratch = encode_fresh(self.design, &config)?;
+        let scratch = encode_fresh(self.design, &config, true)?;
         // Different scaled geometry means different coordinate bit-widths:
         // the variable map, and with it every clause, is invalidated.
         if scratch.scale != self.scale {
             return Ok(WarmReuse::Structural);
         }
-        let changed = self.store.diff_families(&scratch.store);
+        // The live store holds only the instantiated windows, the scratch
+        // store none; the pin-density family's content is its window
+        // shape and every window's bound, compared directly.
+        let pd = ConstraintFamily::PinDensity;
+        let mut changed: Vec<ConstraintFamily> = self
+            .store
+            .diff_families(&scratch.store)
+            .into_iter()
+            .filter(|&fam| fam != pd)
+            .collect();
+        let scratch_windows = scratch
+            .pd_check
+            .clone()
+            .map(|check| WindowSet::new(check, &self.scale));
+        let pd_changed = match (&self.pd, &scratch_windows) {
+            (Some(live), Some(new)) => !live.same_content(new),
+            (live, new) => live.is_some() != new.is_some(),
+        };
+        if pd_changed {
+            changed.push(pd);
+            changed.sort();
+        }
         let relowerable = [
             ConstraintFamily::PinDensity,
             ConstraintFamily::CoreGeometry,
@@ -645,6 +694,11 @@ impl<'a> Placer<'a> {
 
         let reuse = if changed.is_empty() {
             self.config = config;
+            // Same windows at the same bounds, but the reported check (λ
+            // under overrides, inert overrides) follows the new request.
+            if let (Some(live), Some(check)) = (&mut self.pd, scratch.pd_check) {
+                live.check = check;
+            }
             WarmReuse::Identical
         } else {
             self.relower(config, &changed);
@@ -885,7 +939,7 @@ impl<'a> Placer<'a> {
         if self.warm_pending.is_none() {
             self.seed_hints();
         }
-        self.smt.set_conflict_budget(opt.first_conflict_budget);
+        self.refinements.clear();
 
         let mut best: Option<Model> = None;
         let mut trace: Vec<u64> = Vec::new();
@@ -902,12 +956,16 @@ impl<'a> Placer<'a> {
                 degraded = Some(DegradeReason::Deadline);
                 break;
             }
-            match self.solve_round(&freeze) {
+            // Optimization rounds run under the (tighter) per-round
+            // budget; only feasibility gets the first-solve budget.
+            let budget = if best.is_none() {
+                opt.first_conflict_budget
+            } else {
+                opt.conflict_budget
+            };
+            match self.solve_round(&freeze, budget) {
                 SmtResult::Sat => {
                     retried_unfrozen = false;
-                    // Optimization rounds run under the (tighter) per-round
-                    // budget; only feasibility gets the first-solve budget.
-                    self.smt.set_conflict_budget(opt.conflict_budget);
                     let model = self.extract_model();
                     let phi_now = encode::wirelength::measure_weighted_hpwl(
                         self.design,
@@ -1026,6 +1084,11 @@ impl<'a> Placer<'a> {
             presolve: self.presolve.clone(),
             warm: self.warm_pending.clone(),
             closure: None,
+            windows: WindowStats {
+                instantiated: self.pd.as_ref().map_or(0, WindowSet::instantiated),
+                total: self.pd.as_ref().map_or(0, |pd| pd.windows.len()),
+                refinements: self.refinements.clone(),
+            },
         };
         let mut placement = self.finalize(model, stats);
         // Certify mode closes the SAT half of the loop: re-check the model
@@ -1120,12 +1183,148 @@ impl<'a> Placer<'a> {
     /// by the feasibility solve, every ζ-tightening round, and the
     /// unfrozen retry — the assumption plumbing lives in exactly one
     /// place.
-    fn solve_round(&mut self, freeze: &[Term]) -> SmtResult {
+    ///
+    /// A model is refined until it overloads no pin-density window: the
+    /// window oracle names the windows it breaks, they are instantiated
+    /// under the live selector, and the same solver re-solves with its
+    /// learnt clauses. Each re-solve spends only what is left of `budget`,
+    /// so a round never exceeds it; `Sat` therefore always leaves a model
+    /// that passes every window.
+    fn solve_round(&mut self, freeze: &[Term], budget: Option<u64>) -> SmtResult {
         let mut assumptions: Vec<Term> = self.selectors.iter().map(|&(_, sel)| sel).collect();
         // Reusable mode: enable this job's objective-tightening bounds.
         assumptions.extend(self.objective);
         assumptions.extend_from_slice(freeze);
-        self.smt.solve_with(&assumptions)
+        let start = self.smt.sat_stats().conflicts;
+        let mut refinements = 0;
+        let result = loop {
+            let spent = self.smt.sat_stats().conflicts.saturating_sub(start);
+            self.smt
+                .set_conflict_budget(budget.map(|b| b.saturating_sub(spent)));
+            let result = self.smt.solve_with(&assumptions);
+            if result != SmtResult::Sat {
+                break result;
+            }
+            let overloaded = self.overloaded_windows();
+            if overloaded.is_empty() {
+                break result;
+            }
+            self.instantiate(&overloaded);
+            refinements += 1;
+        };
+        self.refinements.push(refinements);
+        result
+    }
+
+    /// The feasibility solve alone — the first solve of
+    /// [`Placer::place`], window refinement included — for the UNSAT
+    /// explainer; after `Unsat`, [`Placer::blamed_families`] names the
+    /// conflict.
+    pub(crate) fn feasibility_solve(&mut self) -> SmtResult {
+        self.seed_hints();
+        let budget = self.config.optimize.first_conflict_budget;
+        self.solve_round(&[], budget)
+    }
+
+    /// The exact window oracle on the current model: the windows it
+    /// overloads, none of which can be live.
+    fn overloaded_windows(&self) -> Vec<usize> {
+        let Some(pd) = &self.pd else {
+            return Vec::new();
+        };
+        let value =
+            |vars: &[Term]| -> Vec<u64> { vars.iter().map(|&t| self.smt.bv_value(t)).collect() };
+        let cells = self.cell_rects(&value(&self.vars.cell_x), &value(&self.vars.cell_y));
+        pd.check
+            .overloaded(self.design, &cells, self.units(), self.die())
+            .into_iter()
+            .filter_map(|w| pd.index_of(w.origin))
+            .inspect(|&i| debug_assert!(!pd.live[i], "a live window was overloaded"))
+            .filter(|&i| !pd.live[i])
+            .collect()
+    }
+
+    /// Emits the windows at `indices` at their current bounds and lowers
+    /// them under the pin-density family's live selector.
+    fn instantiate(&mut self, indices: &[usize]) {
+        let Some(pd) = &mut self.pd else {
+            return;
+        };
+        let family = ConstraintFamily::PinDensity;
+        let sel = self
+            .selectors
+            .iter()
+            .find(|&&(f, _)| f == family)
+            .map(|&(_, sel)| sel)
+            .expect("pin density keeps a live selector");
+        let mark = self.store.len();
+        self.store.family(family);
+        for &i in indices {
+            pd.live[i] = true;
+            let (origin, bound) = pd.windows[i];
+            encode::pin_density::emit_window(
+                &mut self.smt,
+                &mut self.store,
+                self.design,
+                &self.scale,
+                &self.vars,
+                &pd.check,
+                origin,
+                bound,
+            );
+        }
+        let t0 = Instant::now();
+        let (constraints, clauses) = self.store.lower_under(&mut self.smt, sel, mark);
+        self.lowering += t0.elapsed();
+        let fs = self
+            .families
+            .iter_mut()
+            .find(|fs| fs.family == family)
+            .expect("pin density keeps its family stats");
+        fs.constraints += constraints;
+        fs.clauses += clauses;
+    }
+
+    /// Encodes every pin-density window up front — the eager encoding of
+    /// Eq. 13–14. Lazy refinement returns the same verdicts; this is the
+    /// reference the differential tests compare it against.
+    #[doc(hidden)]
+    pub fn instantiate_every_window(&mut self) {
+        let pending: Vec<usize> = self.pd.as_ref().map_or(Vec::new(), |pd| {
+            (0..pd.live.len()).filter(|&i| !pd.live[i]).collect()
+        });
+        self.instantiate(&pending);
+    }
+
+    /// Opens a fresh pin-density generation for `check`: a new live
+    /// selector, the windows at `keep` (origins live in the previous
+    /// generation) re-instantiated at their new bounds, and every window
+    /// one cell alone overloads ([`WindowSet::seeds`]). `None` drops the
+    /// family.
+    fn open_pin_density(&mut self, check: Option<PinDensityCheck>, keep: &[(u32, u32)]) {
+        let family = ConstraintFamily::PinDensity;
+        self.store.set_lazy(family, check.is_some());
+        let Some(check) = check else {
+            self.pd = None;
+            return;
+        };
+        let sel = self
+            .smt
+            .bool_var(format!("sel_{}_g{}", family.name(), self.generation));
+        self.selectors.push((family, sel));
+        self.families.push(FamilyStats {
+            family,
+            constraints: 0,
+            clauses: 0,
+        });
+        self.families.sort_by_key(|fs| fs.family);
+        let windows = WindowSet::new(check, &self.scale);
+        let mut live: Vec<usize> = windows.seeds(self.design).collect();
+        live.extend(keep.iter().filter_map(|&o| windows.index_of(o)));
+        live.sort_unstable();
+        live.dedup();
+        self.pd = Some(windows);
+        self.instantiate(&live);
     }
 
     /// The live objective guard selector, created on first use per job
@@ -1208,29 +1407,8 @@ impl<'a> Placer<'a> {
                         );
                     }
                 }
-                ConstraintFamily::PinDensity => {
-                    if let Some(pd) = self.config.pin_density.clone() {
-                        let info = encode::pin_density::assert_pin_density(
-                            &mut self.smt,
-                            &mut self.store,
-                            self.design,
-                            &self.scale,
-                            &self.vars,
-                            &pd,
-                        );
-                        self.pd_check = Some(PinDensityCheck {
-                            beta_x: info.beta_x,
-                            beta_y: info.beta_y,
-                            lambda: info.lambda,
-                            stride_x: pd.stride_x,
-                            stride_y: pd.stride_y,
-                        });
-                    } else {
-                        // A rebase can turn pin density off entirely; the
-                        // stale check must not leak into the placement.
-                        self.pd_check = None;
-                    }
-                }
+                // Re-opened below, after the eager families are lowered.
+                ConstraintFamily::PinDensity => {}
                 ConstraintFamily::Symmetry
                 | ConstraintFamily::PowerAbutment
                 | ConstraintFamily::Wirelength => {
@@ -1245,6 +1423,24 @@ impl<'a> Placer<'a> {
         self.families.extend(lowering.families);
         self.families.sort_by_key(|fs| fs.family);
         self.selectors.extend(lowering.selectors);
+        if families.contains(&ConstraintFamily::PinDensity) {
+            // The instantiated windows survive the new generation at their
+            // new bounds; a rebase that turns pin density off drops them.
+            let keep: Vec<(u32, u32)> = self.pd.take().map_or(Vec::new(), |pd| {
+                pd.windows
+                    .iter()
+                    .zip(&pd.live)
+                    .filter(|&(_, &live)| live)
+                    .map(|(&(origin, _), _)| origin)
+                    .collect()
+            });
+            let check = self
+                .config
+                .pin_density
+                .as_ref()
+                .map(|cfg| encode::pin_density::resolve_check(self.design, &self.scale, cfg));
+            self.open_pin_density(check, &keep);
+        }
         debug_assert_eq!(self.validate_lowering(), Ok(()));
     }
 
@@ -1257,13 +1453,19 @@ impl<'a> Placer<'a> {
         // exactly what `unsat_certificate` derives for an assumption-based
         // verdict.
         let certificate = self.smt.unsat_certificate().map(Box::new);
-        let conflict = conflict_families(&self.selectors, self.smt.failed_assumptions());
+        let conflict = self.blamed_families();
         let provenance = self.store.provenance_lines(&conflict);
         PlaceError::Infeasible {
             conflict,
             provenance,
             certificate,
         }
+    }
+
+    /// The families the failed selector assumptions of the last (UNSAT)
+    /// solve blame.
+    pub(crate) fn blamed_families(&self) -> Vec<ConstraintFamily> {
+        conflict_families(&self.selectors, self.smt.failed_assumptions())
     }
 
     /// Seeds the SAT polarity toward a quick greedy packing: regions
@@ -1450,20 +1652,36 @@ impl<'a> Placer<'a> {
         out
     }
 
-    fn finalize(&self, model: Model, stats: PlaceStats) -> Placement {
-        let (uw, uh) = (self.scale.unit_w, self.scale.unit_h);
-        let cells: Vec<Rect> = self
-            .design
+    /// Grid units `(w̄, h̄)` of the scaled design.
+    fn units(&self) -> (u32, u32) {
+        (self.scale.unit_w, self.scale.unit_h)
+    }
+
+    /// The die in grid units.
+    fn die(&self) -> Rect {
+        let (uw, uh) = self.units();
+        Rect::new(0, 0, self.scale.scaled_w * uw, self.scale.scaled_h * uh)
+    }
+
+    /// Cell rectangles in grid units for scaled model coordinates.
+    fn cell_rects(&self, xs: &[u64], ys: &[u64]) -> Vec<Rect> {
+        let (uw, uh) = self.units();
+        self.design
             .cell_ids()
             .map(|c| {
                 Rect::new(
-                    model.xs[c.index()] as u32 * uw,
-                    model.ys[c.index()] as u32 * uh,
+                    xs[c.index()] as u32 * uw,
+                    ys[c.index()] as u32 * uh,
                     self.design.cell(c).width,
                     self.design.cell(c).height,
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    fn finalize(&self, model: Model, stats: PlaceStats) -> Placement {
+        let (uw, uh) = self.units();
+        let cells = self.cell_rects(&model.xs, &model.ys);
         let regions: Vec<Rect> = (0..self.design.regions().len())
             .map(|i| {
                 Rect::new(
@@ -1474,7 +1692,7 @@ impl<'a> Placer<'a> {
                 )
             })
             .collect();
-        let die = Rect::new(0, 0, self.scale.scaled_w * uw, self.scale.scaled_h * uh);
+        let die = self.die();
         let edge_cells = crate::post::edge_cells(self.design, &self.scale, &regions);
         let dummy_cells = crate::post::dummy_cells(self.design, &self.scale, &regions, &cells);
         let _ = &self.plan;
@@ -1485,7 +1703,7 @@ impl<'a> Placer<'a> {
             edge_cells,
             dummy_cells,
             units: (uw, uh),
-            pin_density: self.pd_check,
+            pin_density: self.pd.as_ref().map(|pd| pd.check.clone()),
             stats,
         }
     }

@@ -18,12 +18,16 @@
 //! always-on subset; the fifty-design acceptance run is `#[ignore]`d into
 //! the release-mode scheduled job (see `.github/workflows/nightly.yml`)
 //! and the release step of CI.
+//!
+//! The arms above strip pin density (the brute reference does not model
+//! it). `lazy_and_eager_pin_density_agree` covers it on its own: windows
+//! refined lazily against every window encoded up front.
 
 use ams_netlist::benchmarks::{synthetic, SyntheticParams};
 use ams_netlist::rng::SplitMix64;
 use ams_place::analysis::presolve;
 use ams_place::brute::{reference_place, BruteLimits, ReferenceVerdict};
-use ams_place::{drat, PlaceError, Placer, PlacerConfig};
+use ams_place::{drat, PinDensityConfig, PlaceError, Placer, PlacerConfig};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Verdict {
@@ -253,4 +257,86 @@ fn differential_fifty_designs_agree() {
         "only {} of 50 designs were infeasible — UNSAT path under-tested",
         stats.unsat
     );
+}
+
+/// Decides one pin-density instance at `threads = 1`, with windows refined
+/// lazily or (`eager`) every window encoded before the first solve.
+fn pin_density_verdict(
+    design: &ams_netlist::Design,
+    cfg: &PlacerConfig,
+    eager: bool,
+    label: &str,
+) -> Verdict {
+    let mut placer = match Placer::builder(design)
+        .config(cfg.clone())
+        .threads(1)
+        .build()
+    {
+        Ok(placer) => placer,
+        Err(PlaceError::Lint(_)) => return Verdict::Unsat,
+        Err(e) => panic!("{label}: config rejected: {e}"),
+    };
+    if eager {
+        placer.instantiate_every_window();
+    }
+    match placer.place_mut() {
+        Ok(placement) => {
+            if let Err(violations) = placement.verify(design) {
+                panic!("{label}: illegal model: {violations:?}");
+            }
+            Verdict::Sat
+        }
+        Err(PlaceError::Infeasible { .. }) => Verdict::Unsat,
+        Err(e) => panic!("{label}: unexpected failure: {e}"),
+    }
+}
+
+/// Lazy ≡ eager: seeded mini-designs with pin density on, thresholds drawn
+/// around the heaviest cell's pin count so both verdicts occur. Refining
+/// windows lazily must reach the verdict of the full encoding, and both
+/// placements must pass the legality oracle.
+#[test]
+fn lazy_and_eager_pin_density_agree() {
+    let (mut sat, mut unsat) = (0, 0);
+    for round in 0..12u64 {
+        let mut rng = SplitMix64::new(0x1A2E ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let design = synthetic(SyntheticParams {
+            regions: 1,
+            cells_per_region: rng.range_u64(3, 5) as usize,
+            nets: rng.range_u64(2, 4) as usize,
+            net_degree: 2,
+            symmetry_pairs: rng.range_u64(0, 1) as usize,
+            cluster_size: 0,
+            seed: rng.next_u64(),
+        });
+        let heaviest = design
+            .cells()
+            .iter()
+            .map(|c| c.pin_count() as u64)
+            .max()
+            .unwrap_or(0);
+        let mut cfg = PlacerConfig::fast();
+        cfg.recovery.enabled = false;
+        cfg.presolve.enabled = false;
+        cfg.optimize.k_iter = 1;
+        cfg.optimize.conflict_budget = Some(50_000);
+        cfg.utilization = 0.5 + 0.4 * rng.next_f64();
+        cfg.pin_density = Some(PinDensityConfig {
+            beta_x: rng.range_u64(1, 3) as u32,
+            beta_y: rng.range_u64(1, 2) as u32,
+            lambda: Some(heaviest + rng.range_u64(0, 3)),
+            stride_x: rng.range_u64(1, 2) as u32,
+            ..PinDensityConfig::default()
+        });
+        let label = format!("round {round} ({})", design.name());
+        let lazy = pin_density_verdict(&design, &cfg, false, &format!("{label} lazy"));
+        let eager = pin_density_verdict(&design, &cfg, true, &format!("{label} eager"));
+        assert_eq!(lazy, eager, "{label}: lazy and eager windows disagree");
+        match lazy {
+            Verdict::Sat => sat += 1,
+            Verdict::Unsat => unsat += 1,
+        }
+    }
+    assert!(sat > 0, "no round was feasible");
+    eprintln!("lazy ≡ eager: {sat} feasible, {unsat} infeasible");
 }

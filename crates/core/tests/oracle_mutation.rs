@@ -216,10 +216,53 @@ fn crowded_window_is_exactly_pin_density() {
         lambda: 3,
         stride_x: 1,
         stride_y: 1,
+        lambda_overrides: Vec::new(),
     });
     p.verify(&design).expect("spread-out pins start legal");
     // One site move: b abuts a and the window at (0, 0) now sees 6 pins.
     p.cells[1].x = 2;
+    assert_exactly(&p, &design, ViolationKind::PinDensity);
+}
+
+/// The check windows are walked exactly as the encoder walks them, so the
+/// last origin counts even when the stride skips past it. Here 2-site-wide,
+/// full-height windows step 4 sites over a 12-site die: origins 0, 4, 8,
+/// and the final 10. Only that final window sees p and q together.
+#[test]
+fn crowded_final_origin_window_is_exactly_pin_density() {
+    let (design, mut p) = fixture();
+    p.cells[0].x = 6; // a to (6, 0): between the windows at sites 0 and 4
+    p.pin_density = Some(PinDensityCheck {
+        beta_x: 2,
+        beta_y: 6,
+        lambda: 1,
+        stride_x: 4,
+        stride_y: 1,
+        lambda_overrides: Vec::new(),
+    });
+    p.verify(&design).expect("one pin per window starts legal");
+    // p to (22, 0): p and q now share only the final window (20..24).
+    p.cells[6].x = 22;
+    assert_exactly(&p, &design, ViolationKind::PinDensity);
+}
+
+/// A per-window override is a bound like any other: the window at origin
+/// (0, 0) holds a's three pins, within λ = 3 but over its override of 2.
+#[test]
+fn window_over_its_override_is_exactly_pin_density() {
+    let (design, mut p) = fixture();
+    let mut check = PinDensityCheck {
+        beta_x: 2,
+        beta_y: 1,
+        lambda: 3,
+        stride_x: 1,
+        stride_y: 1,
+        lambda_overrides: Vec::new(),
+    };
+    p.pin_density = Some(check.clone());
+    p.verify(&design).expect("no window exceeds λ");
+    check.lambda_overrides = vec![((0, 0), 2)];
+    p.pin_density = Some(check);
     assert_exactly(&p, &design, ViolationKind::PinDensity);
 }
 

@@ -69,6 +69,27 @@ fn lambda_only_change_relowers_just_pin_density() {
     assert_eq!(warm.learnts_carried, *learnts_carried);
 }
 
+/// A λ_th so high that no window can overload still belongs to the
+/// pin-density family's content: the warm placement must report the new
+/// threshold, not the one it was first built with.
+#[test]
+fn rebased_lambda_is_the_one_the_placement_reports() {
+    let d = design();
+    let mut placer = Placer::new(&d, reusable_config(1000)).expect("encode");
+    let first = placer.place_mut().expect("cold solve");
+    assert_eq!(first.pin_density.map(|pd| pd.lambda), Some(1000));
+
+    let reuse = placer.rebase(reusable_config(1001)).expect("rebase");
+    assert!(
+        matches!(&reuse, WarmReuse::Relowered { families, .. }
+            if families == &[ConstraintFamily::PinDensity]),
+        "a λ-only delta re-lowers pin density, got {reuse:?}"
+    );
+    let second = placer.place_mut().expect("warm solve");
+    second.verify(&d).expect("warm placement is legal");
+    assert_eq!(second.pin_density.map(|pd| pd.lambda), Some(1001));
+}
+
 #[test]
 fn identical_rebase_keeps_everything_lowered() {
     let d = design();

@@ -16,6 +16,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark self-tests (perfbench builds the crates by path)"
+# perfbench/ is a workspace of its own, so the workspace test run above
+# never compiles it; an ams-place API change could break it silently.
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (parallel portfolio, AMSPLACE_THREADS=4)"
 # Re-runs the placement-facing suites with the portfolio as the default
 # solver path, so the multi-threaded dispatch stays covered by CI.

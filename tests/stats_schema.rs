@@ -29,6 +29,7 @@ const TOP_LEVEL_FIELDS: &[&str] = &[
     "schema_version",
     "threads",
     "warm",
+    "windows",
     "winner",
     "workers",
 ];
@@ -67,6 +68,8 @@ const CLOSURE_FIELDS: &[&str] = &[
 ];
 
 const CLOSURE_WINDOW_FIELDS: &[&str] = &["x", "y"];
+
+const WINDOWS_FIELDS: &[&str] = &["instantiated", "refinements", "total"];
 
 fn keys(doc: &Json) -> BTreeSet<String> {
     match doc {
@@ -176,6 +179,29 @@ fn stats_json_matches_the_golden_schema() {
         panic!("passes must be an array");
     };
     assert_eq!(passes.len(), 2, "domain + capacity passes expected");
+
+    // The synthetic design places with pin density on: windows are
+    // instantiated lazily, never more than the die has, and every solve of
+    // the loop reports its refinement count.
+    assert_windows_shape(&map["windows"]);
+    let Json::Obj(win) = &map["windows"] else {
+        unreachable!()
+    };
+    let (Json::Num(instantiated), Json::Num(total)) = (&win["instantiated"], &win["total"]) else {
+        panic!("windows counts must be numbers");
+    };
+    assert!(*total > 0.0, "pin density is on, so the die has windows");
+    assert!(instantiated <= total);
+    assert!(matches!(&win["refinements"], Json::Arr(v) if !v.is_empty()));
+}
+
+fn assert_windows_shape(win: &Json) {
+    let expected: BTreeSet<String> = WINDOWS_FIELDS.iter().map(|s| s.to_string()).collect();
+    assert_eq!(keys(win), expected, "windows field set changed");
+    let Json::Obj(map) = win else { unreachable!() };
+    assert!(matches!(map["instantiated"], Json::Num(_)));
+    assert!(matches!(map["total"], Json::Num(_)));
+    assert!(matches!(&map["refinements"], Json::Arr(_)));
 }
 
 fn assert_presolve_shape(ps: &Json) {
