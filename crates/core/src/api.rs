@@ -29,8 +29,10 @@ use std::time::Duration;
 /// kind, `degraded` in the service health documents); 3 = routing
 /// closure (the constant-shape `closure` object in the stats document,
 /// `close`/`close_iters` job options); 4 = lazy pin-density windows (the
-/// constant-shape `windows` object in the stats document).
-pub const SCHEMA_VERSION: u64 = 4;
+/// constant-shape `windows` object in the stats document); 5 = per-job
+/// SAT search counters (`decisions`, `propagations`, `restarts` next to
+/// `conflicts` in the stats document).
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Lifecycle state of a placement job.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -709,6 +711,9 @@ pub fn stats_to_json(design: &Design, placement: &Placement) -> Json {
         ("iterations", Json::uint(s.iterations as u64)),
         ("runtime_ms", Json::uint(s.runtime.as_millis() as u64)),
         ("conflicts", Json::uint(s.conflicts)),
+        ("decisions", Json::uint(s.decisions)),
+        ("propagations", Json::uint(s.propagations)),
+        ("restarts", Json::uint(s.restarts)),
         ("sat_vars", Json::uint(s.sat_vars as u64)),
         ("sat_clauses", Json::uint(s.sat_clauses as u64)),
         ("families", Json::Arr(families)),

@@ -183,8 +183,14 @@ pub struct PlaceStats {
     pub iterations: usize,
     /// Wall-clock runtime of the placement (encode + solve + post).
     pub runtime: Duration,
-    /// SAT conflicts across all solve calls.
+    /// SAT conflicts across all solve calls of this job.
     pub conflicts: u64,
+    /// SAT decisions across all solve calls of this job.
+    pub decisions: u64,
+    /// Literals the SAT core propagated across all solve calls of this job.
+    pub propagations: u64,
+    /// SAT restarts across all solve calls of this job.
+    pub restarts: u64,
     /// Weighted scaled HPWL after each SAT iteration (decreasing).
     pub hpwl_trace: Vec<u64>,
     /// SAT variables in the final encoding.

@@ -316,9 +316,10 @@ pub struct Placer<'a> {
     /// Generation counter for objective selectors, so their names stay
     /// unique across warm re-solves.
     objective_gen: u32,
-    /// SAT conflicts already counted by previous jobs on this (warm)
-    /// solver; subtracted so [`PlaceStats::conflicts`] stays per-job.
-    conflicts_base: u64,
+    /// SAT counters already spent by previous jobs on this (warm) solver;
+    /// subtracted so [`PlaceStats::conflicts`], `decisions`,
+    /// `propagations` and `restarts` stay per-job.
+    sat_base: ams_sat::Stats,
     /// Warm-reuse summary recorded by [`Placer::rebase`], attached to the
     /// next [`Placer::place`] result's stats.
     warm_pending: Option<WarmStats>,
@@ -589,7 +590,7 @@ impl<'a> Placer<'a> {
             cancel: None,
             objective: None,
             objective_gen: 0,
-            conflicts_base: 0,
+            sat_base: ams_sat::Stats::default(),
             warm_pending: None,
         };
         placer.open_pin_density(pd_check, &[]);
@@ -689,7 +690,7 @@ impl<'a> Placer<'a> {
             self.smt.retire(sel);
         }
         let stats = self.smt.sat_stats();
-        self.conflicts_base = stats.conflicts;
+        self.sat_base = stats;
         self.rungs.clear();
 
         let reuse = if changed.is_empty() {
@@ -1054,6 +1055,9 @@ impl<'a> Placer<'a> {
             ));
         };
         let summary = self.smt.portfolio_summary();
+        // Per-job: a warm solver's counters keep running across jobs, so
+        // subtract what previous jobs already spent.
+        let (sat, base) = (self.smt.sat_stats(), self.sat_base);
         let stats = PlaceStats {
             outcome: match degraded {
                 None => PlaceOutcome::Optimal,
@@ -1064,13 +1068,10 @@ impl<'a> Placer<'a> {
             },
             iterations: sat_rounds,
             runtime: t0.elapsed(),
-            // Per-job: a warm solver's counter keeps running across jobs,
-            // so subtract what previous jobs already spent.
-            conflicts: self
-                .smt
-                .sat_stats()
-                .conflicts
-                .saturating_sub(self.conflicts_base),
+            conflicts: sat.conflicts.saturating_sub(base.conflicts),
+            decisions: sat.decisions.saturating_sub(base.decisions),
+            propagations: sat.propagations.saturating_sub(base.propagations),
+            restarts: sat.restarts.saturating_sub(base.restarts),
             hpwl_trace: trace,
             sat_vars: self.smt.num_sat_vars(),
             sat_clauses: self.smt.num_sat_clauses(),
@@ -1736,19 +1737,34 @@ mod tests {
         let mut placer = Placer::new(&d, config.clone()).expect("encode");
 
         let first = placer.place_mut().expect("cold solve");
-        let total_after_first = placer.smt.sat_stats().conflicts;
-        assert_eq!(placer.conflicts_base, 0);
-        assert_eq!(first.stats.conflicts, total_after_first);
+        let after_first = placer.smt.sat_stats();
+        assert_eq!(placer.sat_base, ams_sat::Stats::default());
+        assert_eq!(first.stats.conflicts, after_first.conflicts);
+        assert_eq!(first.stats.decisions, after_first.decisions);
+        assert_eq!(first.stats.propagations, after_first.propagations);
+        assert_eq!(first.stats.restarts, after_first.restarts);
 
         assert_eq!(placer.rebase(config).expect("rebase"), WarmReuse::Identical);
-        assert_eq!(placer.conflicts_base, total_after_first);
+        assert_eq!(placer.sat_base, after_first);
 
         let second = placer.place_mut().expect("warm solve");
-        let total_after_second = placer.smt.sat_stats().conflicts;
+        let after_second = placer.smt.sat_stats();
         assert_eq!(
             second.stats.conflicts,
-            total_after_second - total_after_first,
+            after_second.conflicts - after_first.conflicts,
             "warm job must report only its own conflicts"
+        );
+        assert_eq!(
+            second.stats.decisions,
+            after_second.decisions - after_first.decisions
+        );
+        assert_eq!(
+            second.stats.propagations,
+            after_second.propagations - after_first.propagations
+        );
+        assert_eq!(
+            second.stats.restarts,
+            after_second.restarts - after_first.restarts
         );
     }
 }

@@ -9,11 +9,10 @@
 //!
 //! where the trailing activity word exists only for learnt clauses. Deleted
 //! clauses are tombstoned and reclaimed by [`ClauseDb::collect`], which
-//! returns a relocation table so the solver can patch watcher lists and
+//! returns a [`Relocation`] so the solver can patch watcher lists and
 //! reason references.
 
 use crate::lit::Lit;
-use std::collections::HashMap;
 
 /// Reference to a clause inside a [`ClauseDb`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -170,29 +169,66 @@ impl ClauseDb {
     }
 
     /// Compacts the arena, dropping tombstoned clauses. Returns the
-    /// relocation table mapping old references to new ones.
-    pub fn collect(&mut self) -> HashMap<ClauseRef, ClauseRef> {
-        let mut reloc = HashMap::new();
+    /// relocation mapping old references to new ones.
+    pub fn collect(&mut self) -> Relocation {
         let mut new_data = Vec::with_capacity(self.data.len() - self.wasted);
         let mut at = 0usize;
         while at < self.data.len() {
             let cref = ClauseRef(at as u32);
             let words = self.clause_words(cref);
-            if !self.is_deleted(cref) {
-                let new_ref = ClauseRef(new_data.len() as u32);
+            // The old header word becomes the forwarding address: the old
+            // arena outlives the copy as the relocation table.
+            if self.is_deleted(cref) {
+                self.data[at] = GONE;
+            } else {
+                let new_at = new_data.len() as u32;
                 new_data.extend_from_slice(&self.data[at..at + words]);
-                reloc.insert(cref, new_ref);
+                self.data[at] = new_at;
             }
             at += words;
         }
-        self.data = new_data;
         self.wasted = 0;
-        reloc
+        Relocation {
+            forward: std::mem::replace(&mut self.data, new_data),
+        }
     }
 
     /// Iterates over all live clause references.
     pub fn iter(&self) -> ClauseIter<'_> {
         ClauseIter { db: self, at: 0 }
+    }
+}
+
+/// Forwarding marker of a clause dropped by [`ClauseDb::collect`]. Never a
+/// real offset: a clause there would have no `u32`-addressable words left.
+const GONE: u32 = u32::MAX;
+
+/// Old-to-new reference map returned by [`ClauseDb::collect`]: the
+/// pre-compaction arena with every clause header replaced by the clause's
+/// new offset, so a lookup is one load and no side table is built.
+#[derive(Debug)]
+pub struct Relocation {
+    forward: Vec<u32>,
+}
+
+impl Relocation {
+    /// Where the clause at `old` lives now; `None` if it was deleted.
+    /// `old` must have been a clause reference of the arena before the
+    /// collection.
+    #[inline]
+    pub fn get(&self, old: ClauseRef) -> Option<ClauseRef> {
+        let to = self.forward[old.offset()];
+        (to != GONE).then_some(ClauseRef(to))
+    }
+
+    /// Like [`Relocation::get`] for a reference known to be live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the clause was deleted.
+    #[inline]
+    pub fn live(&self, old: ClauseRef) -> ClauseRef {
+        self.get(old).expect("live clause survives collection")
     }
 }
 
@@ -261,9 +297,9 @@ mod tests {
         let c = db.alloc(&lits(&[(5, false), (6, true)]), false);
         db.delete(a);
         let reloc = db.collect();
-        assert!(!reloc.contains_key(&a));
-        let nb = reloc[&b];
-        let nc = reloc[&c];
+        assert_eq!(reloc.get(a), None);
+        let nb = reloc.live(b);
+        let nc = reloc.live(c);
         assert_eq!(db.lits(nb), &lits(&[(2, true), (3, true), (4, false)])[..]);
         assert_eq!(db.lits(nc), &lits(&[(5, false), (6, true)])[..]);
         assert!(db.is_learnt(nb));

@@ -6,14 +6,18 @@ use crate::lit::Var;
 ///
 /// Supports `O(log n)` insert/remove-max and, crucially for VSIDS,
 /// `O(log n)` priority increase of an arbitrary contained variable.
+///
+/// The position table is sized once per variable by [`VarHeap::grow_to`],
+/// so the hot paths (the solver reinserts every unassigned variable on
+/// backjump) index it directly.
 #[derive(Debug, Default, Clone)]
 pub struct VarHeap {
     heap: Vec<Var>,
-    /// `positions[v] == usize::MAX` when `v` is not in the heap.
-    positions: Vec<usize>,
+    /// `positions[v] == ABSENT` when `v` is not in the heap.
+    positions: Vec<u32>,
 }
 
-const ABSENT: usize = usize::MAX;
+const ABSENT: u32 = u32::MAX;
 
 impl VarHeap {
     /// Creates an empty heap.
@@ -52,23 +56,30 @@ impl VarHeap {
     }
 
     /// Inserts `v` if absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not covered by an earlier [`VarHeap::grow_to`].
+    #[inline]
     pub fn insert(&mut self, v: Var, activity: &[f64]) {
-        self.grow_to(v.index() + 1);
-        if self.contains(v) {
+        if self.positions[v.index()] != ABSENT {
             return;
         }
         let pos = self.heap.len();
         self.heap.push(v);
-        self.positions[v.index()] = pos;
         self.sift_up(pos, activity);
     }
 
     /// Restores heap order after `v`'s activity increased.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not covered by an earlier [`VarHeap::grow_to`].
+    #[inline]
     pub fn increased(&mut self, v: Var, activity: &[f64]) {
-        if let Some(&pos) = self.positions.get(v.index()) {
-            if pos != ABSENT {
-                self.sift_up(pos, activity);
-            }
+        let pos = self.positions[v.index()];
+        if pos != ABSENT {
+            self.sift_up(pos as usize, activity);
         }
     }
 
@@ -79,7 +90,6 @@ impl VarHeap {
         let last = self.heap.pop().expect("heap non-empty");
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.positions[last.index()] = 0;
             self.sift_down(0, activity);
         }
         Some(top)
@@ -95,39 +105,41 @@ impl VarHeap {
                 break;
             }
             self.heap[pos] = pv;
-            self.positions[pv.index()] = pos;
+            self.positions[pv.index()] = pos as u32;
             pos = parent;
         }
         self.heap[pos] = v;
-        self.positions[v.index()] = pos;
+        self.positions[v.index()] = pos as u32;
     }
 
     fn sift_down(&mut self, mut pos: usize, activity: &[f64]) {
         let v = self.heap[pos];
         let act = activity[v.index()];
+        let len = self.heap.len();
         loop {
             let left = 2 * pos + 1;
-            if left >= self.heap.len() {
+            if left >= len {
                 break;
             }
+            // The larger child; the left one on a tie.
+            let (mut best, mut best_act) = (left, activity[self.heap[left].index()]);
             let right = left + 1;
-            let best = if right < self.heap.len()
-                && activity[self.heap[right].index()] > activity[self.heap[left].index()]
-            {
-                right
-            } else {
-                left
-            };
-            let bv = self.heap[best];
-            if activity[bv.index()] <= act {
+            if right < len {
+                let right_act = activity[self.heap[right].index()];
+                if right_act > best_act {
+                    (best, best_act) = (right, right_act);
+                }
+            }
+            if best_act <= act {
                 break;
             }
+            let bv = self.heap[best];
             self.heap[pos] = bv;
-            self.positions[bv.index()] = pos;
+            self.positions[bv.index()] = pos as u32;
             pos = best;
         }
         self.heap[pos] = v;
-        self.positions[v.index()] = pos;
+        self.positions[v.index()] = pos as u32;
     }
 }
 
@@ -143,6 +155,7 @@ mod tests {
     fn pops_in_activity_order() {
         let activity = vec![1.0, 5.0, 3.0, 4.0, 2.0];
         let mut heap = VarHeap::new();
+        heap.grow_to(5);
         for i in 0..5 {
             heap.insert(var(i), &activity);
         }
@@ -157,6 +170,7 @@ mod tests {
     fn insert_is_idempotent() {
         let activity = vec![1.0, 2.0];
         let mut heap = VarHeap::new();
+        heap.grow_to(2);
         heap.insert(var(0), &activity);
         heap.insert(var(0), &activity);
         assert_eq!(heap.len(), 1);
@@ -166,6 +180,7 @@ mod tests {
     fn increased_reorders() {
         let mut activity = vec![1.0, 2.0, 3.0];
         let mut heap = VarHeap::new();
+        heap.grow_to(3);
         for i in 0..3 {
             heap.insert(var(i), &activity);
         }

@@ -33,7 +33,7 @@ mod luby;
 mod portfolio;
 mod solver;
 
-pub use clause::{ClauseDb, ClauseRef};
+pub use clause::{ClauseDb, ClauseRef, Relocation};
 pub use drat::{CheckError, CheckStats, Proof, ProofLog, ProofStep};
 pub use heap::VarHeap;
 pub use lit::{Lbool, Lit, Var};

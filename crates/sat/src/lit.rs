@@ -128,26 +128,6 @@ pub enum Lbool {
 }
 
 impl Lbool {
-    /// Converts a concrete boolean.
-    #[inline]
-    pub fn from_bool(b: bool) -> Lbool {
-        if b {
-            Lbool::True
-        } else {
-            Lbool::False
-        }
-    }
-
-    /// Negates a defined value; `Undef` stays `Undef`.
-    #[inline]
-    pub fn negate(self) -> Lbool {
-        match self {
-            Lbool::True => Lbool::False,
-            Lbool::False => Lbool::True,
-            Lbool::Undef => Lbool::Undef,
-        }
-    }
-
     /// Whether the value is defined (not `Undef`).
     #[inline]
     pub fn is_defined(self) -> bool {
@@ -184,10 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn lbool_negate() {
-        assert_eq!(Lbool::True.negate(), Lbool::False);
-        assert_eq!(Lbool::False.negate(), Lbool::True);
-        assert_eq!(Lbool::Undef.negate(), Lbool::Undef);
+    fn lbool_is_defined() {
         assert!(Lbool::True.is_defined());
         assert!(!Lbool::Undef.is_defined());
     }

@@ -123,7 +123,11 @@ pub struct Solver {
     learnts: Vec<ClauseRef>,
     watches: Vec<Vec<Watcher>>,
 
-    assigns: Vec<Lbool>,
+    /// Value of every literal, indexed by [`Lit::code`]. The two entries
+    /// of a variable are opposite, or both `Undef`: `unchecked_enqueue`
+    /// and `cancel_until` write them together, so a literal's value is one
+    /// load.
+    vals: Vec<Lbool>,
     polarity: Vec<bool>,
     user_polarity: Vec<Option<bool>>,
     reason: Vec<Option<ClauseRef>>,
@@ -138,6 +142,7 @@ pub struct Solver {
     cla_inc: f32,
 
     ok: bool,
+    /// Copy of `vals` at the last `Sat` verdict (literal-indexed).
     model: Vec<Lbool>,
     conflict_core: Vec<Lit>,
     assumptions: Vec<Lit>,
@@ -145,6 +150,13 @@ pub struct Solver {
     seen: Vec<bool>,
     analyze_stack: Vec<(Lit, usize)>,
     analyze_toclear: Vec<Lit>,
+    /// The clause `analyze` learns, reused across conflicts.
+    learnt: Vec<Lit>,
+    /// Per-decision-level stamps for counting LBD without sorting: level
+    /// `l` is counted once per `compute_lbd` call, when its stamp differs
+    /// from `lbd_epoch`.
+    lbd_stamp: Vec<u64>,
+    lbd_epoch: u64,
 
     conflict_budget: Option<u64>,
     propagation_budget: Option<u64>,
@@ -221,7 +233,7 @@ impl Clone for Solver {
             clauses: self.clauses.clone(),
             learnts: self.learnts.clone(),
             watches: self.watches.clone(),
-            assigns: self.assigns.clone(),
+            vals: self.vals.clone(),
             polarity: self.polarity.clone(),
             user_polarity: self.user_polarity.clone(),
             reason: self.reason.clone(),
@@ -240,6 +252,9 @@ impl Clone for Solver {
             seen: self.seen.clone(),
             analyze_stack: self.analyze_stack.clone(),
             analyze_toclear: self.analyze_toclear.clone(),
+            learnt: self.learnt.clone(),
+            lbd_stamp: self.lbd_stamp.clone(),
+            lbd_epoch: self.lbd_epoch,
             conflict_budget: self.conflict_budget,
             propagation_budget: self.propagation_budget,
             deadline: self.deadline,
@@ -267,7 +282,7 @@ impl Solver {
             clauses: Vec::new(),
             learnts: Vec::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             polarity: Vec::new(),
             user_polarity: Vec::new(),
             reason: Vec::new(),
@@ -286,6 +301,9 @@ impl Solver {
             seen: Vec::new(),
             analyze_stack: Vec::new(),
             analyze_toclear: Vec::new(),
+            learnt: Vec::new(),
+            lbd_stamp: Vec::new(),
+            lbd_epoch: 0,
             conflict_budget: None,
             propagation_budget: None,
             deadline: None,
@@ -306,8 +324,8 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assigns.len());
-        self.assigns.push(Lbool::Undef);
+        let v = Var::from_index(self.level.len());
+        self.vals.extend([Lbool::Undef, Lbool::Undef]);
         self.polarity.push(false);
         self.user_polarity.push(None);
         self.reason.push(None);
@@ -316,13 +334,14 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
+        self.order.grow_to(v.index() + 1);
         self.order.insert(v, &self.activity);
         v
     }
 
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Number of problem (non-learnt) clauses retained.
@@ -639,12 +658,8 @@ impl Solver {
     ///
     /// Panics if the last solve did not return `Sat`.
     pub fn value(&self, v: Var) -> bool {
-        match self.model[v.index()] {
-            Lbool::True => true,
-            Lbool::False => false,
-            // Variables never touched by the search default to false.
-            Lbool::Undef => false,
-        }
+        // Variables never touched by the search (`Undef`) default to false.
+        self.model[v.positive().code()] == Lbool::True
     }
 
     /// Model value of a literal after `Sat`.
@@ -774,10 +789,21 @@ impl Solver {
         // variables; cancel_until reinserts unassigned ones).
         assert!(self.order.len() <= self.num_vars());
         assert!(self.num_vars() > 0 || self.order.is_empty());
-        for (vi, &a) in self.assigns.iter().enumerate() {
-            if a == Lbool::Undef {
+        for vi in 0..self.num_vars() {
+            let v = Var::from_index(vi);
+            let (pos, neg) = (self.lit_value(v.positive()), self.lit_value(v.negative()));
+            assert!(
+                matches!(
+                    (pos, neg),
+                    (Lbool::Undef, Lbool::Undef)
+                        | (Lbool::True, Lbool::False)
+                        | (Lbool::False, Lbool::True)
+                ),
+                "literal values of {v:?} disagree: {pos:?} / {neg:?}"
+            );
+            if pos == Lbool::Undef {
                 assert!(
-                    self.order.contains(Var::from_index(vi)),
+                    self.order.contains(v),
                     "unassigned variable {vi} is missing from the branch heap"
                 );
             }
@@ -786,12 +812,7 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> Lbool {
-        let v = self.assigns[l.var().index()];
-        if l.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+        self.vals[l.code()]
     }
 
     fn attach(&mut self, cref: ClauseRef) {
@@ -803,19 +824,33 @@ impl Solver {
         self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
     }
 
-    fn detach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
+    /// Deletes the `doomed` clauses (logging each deletion) and drops
+    /// their watchers. The watch lists they sat in are swept once each
+    /// after all deletions, which keeps every list's order and costs one
+    /// pass per touched list instead of two scans per clause.
+    fn remove_clauses(&mut self, doomed: &[ClauseRef]) {
+        let mut touched = Vec::with_capacity(2 * doomed.len());
+        for &cref in doomed {
             let lits = self.db.lits(cref);
-            (lits[0], lits[1])
-        };
-        self.watches[(!l0).code()].retain(|w| w.cref != cref);
-        self.watches[(!l1).code()].retain(|w| w.cref != cref);
+            if let Some(p) = &self.proof {
+                p.log_deletion(lits);
+            }
+            touched.extend([(!lits[0]).code(), (!lits[1]).code()]);
+            self.db.delete(cref);
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let db = &self.db;
+        for code in touched {
+            self.watches[code].retain(|w| !db.is_deleted(w.cref));
+        }
     }
 
     fn unchecked_enqueue(&mut self, l: Lit, from: Option<ClauseRef>) {
         debug_assert_eq!(self.lit_value(l), Lbool::Undef);
         let vi = l.var().index();
-        self.assigns[vi] = Lbool::from_bool(l.is_positive());
+        self.vals[l.code()] = Lbool::True;
+        self.vals[(!l).code()] = Lbool::False;
         self.level[vi] = self.decision_level() as u32;
         self.reason[vi] = from;
         self.trail.push(l);
@@ -828,67 +863,58 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = !p;
 
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
+            let end = ws.len();
             let mut i = 0;
             let mut kept = 0;
-            'watchers: while i < ws.len() {
+            'watchers: while i < end {
                 let w = ws[i];
                 i += 1;
-                if self.lit_value(w.blocker) == Lbool::True {
+                if self.vals[w.blocker.code()] == Lbool::True {
                     ws[kept] = w;
                     kept += 1;
                     continue;
                 }
                 let cref = w.cref;
+                let lits = self.db.lits_mut(cref);
                 // Ensure the falsified watched literal sits at index 1.
-                {
-                    let lits = self.db.lits_mut(cref);
-                    if lits[0] == !p {
-                        lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(lits[1], !p);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.db.lit(cref, 0);
-                if first != w.blocker && self.lit_value(first) == Lbool::True {
-                    ws[kept] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                let watcher = Watcher {
+                    cref,
+                    blocker: first,
+                };
+                if first != w.blocker && self.vals[first.code()] == Lbool::True {
+                    ws[kept] = watcher;
                     kept += 1;
                     continue;
                 }
                 // Look for a non-false replacement watch.
-                let len = self.db.len(cref);
-                for k in 2..len {
-                    let lk = self.db.lit(cref, k);
-                    if self.lit_value(lk) != Lbool::False {
-                        self.db.lits_mut(cref).swap(1, k);
-                        self.watches[(!lk).code()].push(Watcher {
-                            cref,
-                            blocker: first,
-                        });
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if self.vals[lk.code()] != Lbool::False {
+                        lits.swap(1, k);
+                        self.watches[(!lk).code()].push(watcher);
                         continue 'watchers;
                     }
                 }
                 // Clause is unit or conflicting under the current trail.
-                ws[kept] = Watcher {
-                    cref,
-                    blocker: first,
-                };
+                ws[kept] = watcher;
                 kept += 1;
-                if self.lit_value(first) == Lbool::False {
+                if self.vals[first.code()] == Lbool::False {
                     conflict = Some(cref);
                     self.qhead = self.trail.len();
                     // Preserve the untraversed suffix of the watcher list.
-                    while i < ws.len() {
-                        ws[kept] = ws[i];
-                        kept += 1;
-                        i += 1;
-                    }
-                } else {
-                    self.unchecked_enqueue(first, Some(cref));
+                    ws.copy_within(i..end, kept);
+                    kept += end - i;
+                    break;
                 }
+                self.unchecked_enqueue(first, Some(cref));
             }
             ws.truncate(kept);
             debug_assert!(self.watches[p.code()].is_empty());
@@ -905,10 +931,10 @@ impl Solver {
             return;
         }
         let lim = self.trail_lim[target_level];
-        for i in (lim..self.trail.len()).rev() {
-            let l = self.trail[i];
+        for &l in self.trail[lim..].iter().rev() {
             let vi = l.var().index();
-            self.assigns[vi] = Lbool::Undef;
+            self.vals[l.code()] = Lbool::Undef;
+            self.vals[(!l).code()] = Lbool::Undef;
             self.polarity[vi] = l.is_positive();
             self.reason[vi] = None;
             self.order.insert(l.var(), &self.activity);
@@ -948,10 +974,12 @@ impl Solver {
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (with the
-    /// asserting literal first) and the backjump level.
-    fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, usize) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder for UIP
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `self.learnt` (asserting literal first) and returns the backjump
+    /// level.
+    fn analyze(&mut self, mut confl: ClauseRef) -> usize {
+        self.learnt.clear();
+        self.learnt.push(Lit::from_code(0)); // placeholder for UIP
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -969,7 +997,7 @@ impl Solver {
                     if self.level[vi] as usize >= self.decision_level() {
                         path_count += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
@@ -990,41 +1018,41 @@ impl Solver {
             confl = self.reason[pl.var().index()]
                 .expect("non-decision literal on conflict path has a reason");
         }
-        learnt[0] = !p.expect("conflict analysis visited at least one literal");
+        self.learnt[0] = !p.expect("conflict analysis visited at least one literal");
 
         // Conflict-clause minimization: drop literals implied by the rest.
-        self.analyze_toclear = learnt.clone();
+        self.analyze_toclear.clear();
+        self.analyze_toclear.extend_from_slice(&self.learnt);
         let mut abstract_levels = 0u64;
-        for &l in &learnt[1..] {
+        for &l in &self.learnt[1..] {
             abstract_levels |= self.abstract_level(l.var());
         }
         let mut write = 1;
-        for i in 1..learnt.len() {
-            let l = learnt[i];
+        for i in 1..self.learnt.len() {
+            let l = self.learnt[i];
             if self.reason[l.var().index()].is_none() || !self.lit_redundant(l, abstract_levels) {
-                learnt[write] = l;
+                self.learnt[write] = l;
                 write += 1;
             }
         }
-        learnt.truncate(write);
-        for l in std::mem::take(&mut self.analyze_toclear) {
+        self.learnt.truncate(write);
+        for &l in &self.analyze_toclear {
             self.seen[l.var().index()] = false;
         }
 
         // Find the backjump level: highest level among learnt[1..].
-        let backjump = if learnt.len() == 1 {
-            0
-        } else {
-            let mut max_i = 1;
-            for i in 2..learnt.len() {
-                if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
-                    max_i = i;
-                }
+        let learnt = &mut self.learnt;
+        if learnt.len() == 1 {
+            return 0;
+        }
+        let mut max_i = 1;
+        for i in 2..learnt.len() {
+            if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
+                max_i = i;
             }
-            learnt.swap(1, max_i);
-            self.level[learnt[1].var().index()] as usize
-        };
-        (learnt, backjump)
+        }
+        learnt.swap(1, max_i);
+        self.level[learnt[1].var().index()] as usize
     }
 
     #[inline]
@@ -1131,13 +1159,22 @@ impl Solver {
         self.unchecked_enqueue(learnt[0], Some(cref));
     }
 
+    /// Literal-block distance: the number of distinct decision levels
+    /// among `lits`.
     fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
-        // Count distinct decision levels; uses `seen` scratch over levels via
-        // a small sort-free approach (levels fit in a Vec we dedup).
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+        self.lbd_epoch += 1;
+        let mut lbd = 0;
+        for l in lits {
+            let level = self.level[l.var().index()] as usize;
+            if level >= self.lbd_stamp.len() {
+                self.lbd_stamp.resize(level + 1, 0);
+            }
+            if self.lbd_stamp[level] != self.lbd_epoch {
+                self.lbd_stamp[level] = self.lbd_epoch;
+                lbd += 1;
+            }
+        }
+        lbd
     }
 
     fn reduce_db(&mut self) {
@@ -1168,13 +1205,7 @@ impl Solver {
             return;
         }
         self.learnts = kept;
-        for cref in removed {
-            if let Some(p) = &self.proof {
-                p.log_deletion(self.db.lits(cref));
-            }
-            self.detach(cref);
-            self.db.delete(cref);
-        }
+        self.remove_clauses(&removed);
         self.maybe_collect_garbage();
     }
 
@@ -1190,22 +1221,22 @@ impl Solver {
         let reloc = self.db.collect();
         for list in self.watches.iter_mut() {
             for w in list.iter_mut() {
-                w.cref = reloc[&w.cref];
+                w.cref = reloc.live(w.cref);
             }
         }
         for r in self.reason.iter_mut() {
-            if let Some(c) = r {
+            if let Some(c) = *r {
                 // Reasons of root-level assignments may reference clauses
                 // already deleted by simplification; they are never
                 // traversed again, so dropping the reference is safe.
-                *r = reloc.get(c).copied();
+                // (`cancel_until` clears the reasons of unassigned
+                // variables, so every reason left is a clause of the
+                // collected arena.)
+                *r = reloc.get(c);
             }
         }
-        for c in self.clauses.iter_mut() {
-            *c = reloc[c];
-        }
-        for c in self.learnts.iter_mut() {
-            *c = reloc[c];
+        for c in self.clauses.iter_mut().chain(self.learnts.iter_mut()) {
+            *c = reloc.live(*c);
         }
     }
 
@@ -1217,6 +1248,7 @@ impl Solver {
             return; // no new root facts since the last sweep
         }
         self.simplified_at = self.trail.len();
+        let mut doomed = Vec::new();
         for list_kind in 0..2 {
             let list = if list_kind == 0 {
                 std::mem::take(&mut self.clauses)
@@ -1229,11 +1261,7 @@ impl Solver {
                 for k in 0..len {
                     if self.lit_value(self.db.lit(cref, k)) == Lbool::True {
                         if !self.is_locked(cref) {
-                            if let Some(p) = &self.proof {
-                                p.log_deletion(self.db.lits(cref));
-                            }
-                            self.detach(cref);
-                            self.db.delete(cref);
+                            doomed.push(cref);
                             continue 'clauses;
                         }
                         break;
@@ -1247,6 +1275,7 @@ impl Solver {
                 self.learnts = kept;
             }
         }
+        self.remove_clauses(&doomed);
         self.maybe_collect_garbage();
     }
 
@@ -1260,7 +1289,7 @@ impl Solver {
             if coin < self.rand_freq {
                 let idx = self.next_rand() as usize % self.order.len();
                 if let Some(v) = self.order.get(idx) {
-                    if self.assigns[v.index()] == Lbool::Undef {
+                    if self.lit_value(v.positive()) == Lbool::Undef {
                         self.stats.decisions += 1;
                         return Some(Lit::new(v, self.polarity[v.index()]));
                     }
@@ -1268,7 +1297,7 @@ impl Solver {
             }
         }
         while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.assigns[v.index()] == Lbool::Undef {
+            if self.lit_value(v.positive()) == Lbool::Undef {
                 self.stats.decisions += 1;
                 return Some(Lit::new(v, self.polarity[v.index()]));
             }
@@ -1299,12 +1328,14 @@ impl Solver {
                     self.cancel_until(0);
                     return Some(SolveResult::Unknown);
                 }
-                let (learnt, backjump) = self.analyze(confl);
+                let backjump = self.analyze(confl);
                 // Never backjump into the assumption prefix shallower than
                 // needed: cancel_until handles the standard case; assumption
                 // literals are re-established by the decision loop below.
                 self.cancel_until(backjump);
+                let learnt = std::mem::take(&mut self.learnt);
                 self.record_learnt(&learnt);
+                self.learnt = learnt;
                 self.var_inc /= self.var_decay;
                 self.cla_inc /= CLAUSE_DECAY;
 
@@ -1352,7 +1383,7 @@ impl Solver {
                 match next {
                     None => {
                         // All variables assigned: model found.
-                        self.model = self.assigns.clone();
+                        self.model.clone_from(&self.vals);
                         return Some(SolveResult::Sat);
                     }
                     Some(l) => {

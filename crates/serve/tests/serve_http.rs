@@ -294,15 +294,17 @@ fn cancel_lands_mid_flight() {
 #[test]
 fn deadline_ladder_expires_then_degrades_to_anytime() {
     let server = start_server(1);
-    let design = small_design();
+    let design = slow_design();
     // Climb a deadline ladder. The shortest rung expires before any
     // model (a structured deadline-expired failure); some rung then
     // completes — either anytime (a model survived the deadline) or
-    // optimal (the solve beat the clock).
+    // optimal (the solve beat the clock). The 1 ms rung keeps the first
+    // half true in release builds, where the solver reaches a first model
+    // of a small design inside 25 ms.
     let mut saw_deadline_expired = false;
     let mut final_outcome = None;
-    let mut deadline_ms = 25u64;
-    while deadline_ms <= 60_000 {
+    let doubling = std::iter::successors(Some(25u64), |ms| Some(ms * 2));
+    for deadline_ms in std::iter::once(1).chain(doubling.take_while(|&ms| ms <= 60_000)) {
         let id = submit(
             &server,
             &PlaceRequest {
@@ -340,7 +342,6 @@ fn deadline_ladder_expires_then_degrades_to_anytime() {
             }
             other => panic!("unexpected terminal status {other:?}"),
         }
-        deadline_ms *= 2;
     }
 
     assert!(

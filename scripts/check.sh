@@ -142,6 +142,11 @@ echo "==> differential fuzz subset (SMT vs portfolio vs exhaustive reference)"
 # acceptance run is release-mode (CI release step + nightly).
 cargo test -q -p ams-place --test differential
 
+echo "==> service HTTP suite (release)"
+# The deadline ladder is timing-sensitive: a release build reaches a first
+# model far sooner than the debug run above, so run the suite both ways.
+cargo test --release -q -p ams-serve --test serve_http
+
 echo "==> routing-closure corpus smoke (25 scenarios vs golden manifest)"
 # A deterministic 25-scenario slice of the closure corpus: each scenario
 # runs the full place -> route -> tighten loop; the observed pass/fail +

@@ -12,6 +12,7 @@ const TOP_LEVEL_FIELDS: &[&str] = &[
     "certify",
     "closure",
     "conflicts",
+    "decisions",
     "design",
     "die",
     "families",
@@ -22,6 +23,8 @@ const TOP_LEVEL_FIELDS: &[&str] = &[
     "outcome",
     "outcome_detail",
     "presolve",
+    "propagations",
+    "restarts",
     "rungs",
     "runtime_ms",
     "sat_clauses",
